@@ -12,7 +12,9 @@
 // speedup (f32simd+incremental vs f64ref+full) into
 // BENCH_policy_latency.json (+ sibling manifest). A second phase times
 // InferenceBackend::forward_batched against one-at-a-time forward() over
-// harvested observations, the serve batching tradeoff.
+// harvested observations, the serve batching tradeoff: 20 interleaved
+// passes per cell after an untimed warm-up, reported as the median and
+// interquartile range of the per-pass microseconds per decision.
 //
 // Decisions are timed in situ: a wrapper scheduler brackets decide()
 // under a live Simulator run, so incremental encoding sees the real
@@ -25,8 +27,10 @@
 //   READYS_HIDDEN       embedding width (default 32)
 //   READYS_SEED         net + episode seed base (default 1)
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -79,11 +83,15 @@ struct Variant {
 };
 
 struct BatchedCell {
-  std::string backend;
+  std::unique_ptr<rl::InferenceBackend> backend;
   std::size_t batch = 0;
-  std::size_t decisions = 0;
-  double mean_us = 0.0;
+  std::vector<double> pass_us;  ///< us per decision of each timed pass
 };
+
+/// Timed passes per forward-only cell. One pass over a few hundred
+/// observations lasts a few milliseconds, well inside the host's drift,
+/// so a single pass measures noise rather than batching.
+constexpr int kForwardPasses = 20;
 
 }  // namespace
 
@@ -174,36 +182,48 @@ int main() {
     }
   }
   const std::size_t kBatch = 8;
-  std::vector<BatchedCell> batched;
+  std::vector<BatchedCell> cells;
   for (const auto kind : {rl::InferenceBackendKind::kF64Ref,
                           rl::InferenceBackendKind::kF32Simd}) {
-    auto backend = net.make_inference(kind);
-    rl::InferenceOutput out;
-    std::vector<rl::InferenceOutput> outs;
-    {  // batch = 1: one forward() per decision
-      const auto t0 = clock_type::now();
-      for (const rl::Observation& obs : states) backend->forward(obs, out);
-      batched.push_back({backend->name(), 1, states.size(),
-                         us_since(t0) / static_cast<double>(states.size())});
-    }
-    {  // batch = kBatch: serve-style forward_batched rounds
-      std::vector<const rl::Observation*> chunk;
-      const auto t0 = clock_type::now();
-      for (std::size_t i = 0; i < states.size(); i += kBatch) {
-        chunk.clear();
-        for (std::size_t j = i; j < std::min(i + kBatch, states.size()); ++j) {
-          chunk.push_back(&states[j]);
-        }
-        backend->forward_batched(chunk, outs);
-      }
-      batched.push_back({backend->name(), kBatch, states.size(),
-                         us_since(t0) / static_cast<double>(states.size())});
+    for (const std::size_t batch : {std::size_t{1}, kBatch}) {
+      cells.push_back({net.make_inference(kind), batch, {}});
     }
   }
-  for (const BatchedCell& c : batched) {
-    std::printf("forward only  %-8s batch %zu: %7.1f us/decision "
-                "(%zu decisions)\n",
-                c.backend.c_str(), c.batch, c.mean_us, c.decisions);
+  // One pass: every harvested observation once, as single forward()
+  // calls (batch 1) or serve-style forward_batched rounds.
+  rl::InferenceOutput out;
+  std::vector<rl::InferenceOutput> outs;
+  std::vector<const rl::Observation*> chunk;
+  auto pass = [&](BatchedCell& c) {
+    if (c.batch == 1) {
+      for (const rl::Observation& obs : states) c.backend->forward(obs, out);
+      return;
+    }
+    for (std::size_t i = 0; i < states.size(); i += c.batch) {
+      chunk.clear();
+      for (std::size_t j = i; j < std::min(i + c.batch, states.size()); ++j) {
+        chunk.push_back(&states[j]);
+      }
+      c.backend->forward_batched(chunk, outs);
+    }
+  };
+  for (BatchedCell& c : cells) pass(c);  // warm-up: arenas, snapshots
+  // Interleaved so host drift lands on every cell alike.
+  for (int p = 0; p < kForwardPasses; ++p) {
+    for (BatchedCell& c : cells) {
+      const auto t0 = clock_type::now();
+      pass(c);
+      c.pass_us.push_back(us_since(t0) / static_cast<double>(states.size()));
+    }
+  }
+  for (const BatchedCell& c : cells) {
+    std::printf("forward only  %-8s batch %zu: median %7.2f us/decision, "
+                "IQR %5.2f (%d passes x %zu decisions)\n",
+                c.backend->name(), c.batch,
+                util::quantile(c.pass_us, 0.50),
+                util::quantile(c.pass_us, 0.75) -
+                    util::quantile(c.pass_us, 0.25),
+                kForwardPasses, states.size());
   }
 
   const char* path = "BENCH_policy_latency.json";
@@ -227,12 +247,17 @@ int main() {
     }
     vjson += "]";
     std::string bjson = "[";
-    for (std::size_t i = 0; i < batched.size(); ++i) {
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      const BatchedCell& c = cells[i];
+      const double q1 = util::quantile(c.pass_us, 0.25);
+      const double q3 = util::quantile(c.pass_us, 0.75);
       obs::JsonObject j;
-      j.field("backend", batched[i].backend)
-          .field("batch", static_cast<std::uint64_t>(batched[i].batch))
-          .field("decisions", static_cast<std::uint64_t>(batched[i].decisions))
-          .field("mean_us", batched[i].mean_us);
+      j.field("backend", c.backend->name())
+          .field("batch", static_cast<std::uint64_t>(c.batch))
+          .field("decisions", static_cast<std::uint64_t>(states.size()))
+          .field("passes", kForwardPasses)
+          .field("median_us", util::quantile(c.pass_us, 0.50))
+          .field("iqr_us", q3 - q1);
       if (i > 0) bjson += ",";
       bjson += j.str();
     }

@@ -19,8 +19,8 @@ struct Window {
   /// BFS depth of each node (0 for seeds).
   std::vector<int> depth;
   /// task id -> position in `nodes`; filled by extract_window. Windows
-  /// assembled by hand may leave it empty — position_of then falls back
-  /// to a linear scan.
+  /// assembled by hand or by extract_window_into leave it empty —
+  /// position_of then falls back to a linear scan.
   std::unordered_map<TaskId, std::size_t> index;
 
   std::size_t size() const noexcept { return nodes.size(); }
@@ -36,5 +36,18 @@ struct Window {
 /// (w = 0 keeps only the seeds).
 Window extract_window(const TaskGraph& graph, const std::vector<TaskId>& seeds,
                       int window);
+
+/// In-place extract_window for callers that rebuild a window at every
+/// decision (rl::IncrementalEncoder): reuses `out`'s node, depth and edge
+/// buffers and indexes tasks through `row_of`, a dense task -> row table
+/// of graph.num_tasks() entries, instead of a hash map. On entry `row_of`
+/// must be Window::npos everywhere except at `out`'s current nodes (an
+/// all-npos table with an empty `out` to start); only those entries are
+/// reset, and on return it holds the new window's rows. Nodes, depths
+/// and edges equal extract_window's, in the same order; `out.index` is
+/// left empty.
+void extract_window_into(const TaskGraph& graph,
+                         const std::vector<TaskId>& seeds, int window,
+                         std::vector<std::size_t>& row_of, Window& out);
 
 }  // namespace readys::dag

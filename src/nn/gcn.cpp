@@ -54,6 +54,14 @@ void normalized_adjacency_csr(
     std::size_t n,
     const std::vector<std::pair<std::size_t, std::size_t>>& edges,
     SparseAdj& out) {
+  CsrScratch scratch;
+  normalized_adjacency_csr(n, edges, out, scratch);
+}
+
+void normalized_adjacency_csr(
+    std::size_t n,
+    const std::vector<std::pair<std::size_t, std::size_t>>& edges,
+    SparseAdj& out, CsrScratch& scratch) {
   // Row degrees count the self loop plus each (symmetrized) incident
   // edge; summing 1.0s and counting give the same exact double, so
   // dinv_sqrt matches the dense builder bit for bit.
@@ -69,7 +77,8 @@ void normalized_adjacency_csr(
   out.col.resize(nnz);
   out.val.resize(nnz);
 
-  std::vector<std::size_t> fill(n);
+  std::vector<std::size_t>& fill = scratch.fill;
+  fill.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     fill[i] = out.row_ptr[i];
     out.col[fill[i]++] = i;  // self loop first, sorted below
@@ -83,7 +92,8 @@ void normalized_adjacency_csr(
               out.col.begin() + static_cast<std::ptrdiff_t>(out.row_ptr[i + 1]));
   }
 
-  std::vector<double> dinv_sqrt(n);
+  std::vector<double>& dinv_sqrt = scratch.dinv_sqrt;
+  dinv_sqrt.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     const double deg =
         static_cast<double>(out.row_ptr[i + 1] - out.row_ptr[i]);

@@ -77,4 +77,17 @@ void normalized_adjacency_csr(
     std::size_t n, const std::vector<std::pair<std::size_t, std::size_t>>& edges,
     SparseAdj& out);
 
+/// Working buffers of normalized_adjacency_csr: per-row fill cursors and
+/// D^-1/2. A caller that rebuilds Â at every decision keeps one alive so
+/// the build allocates nothing once capacities settle.
+struct CsrScratch {
+  std::vector<std::size_t> fill;
+  std::vector<double> dinv_sqrt;
+};
+
+/// normalized_adjacency_csr with caller-owned scratch; same output.
+void normalized_adjacency_csr(
+    std::size_t n, const std::vector<std::pair<std::size_t, std::size_t>>& edges,
+    SparseAdj& out, CsrScratch& scratch);
+
 }  // namespace readys::nn

@@ -18,6 +18,7 @@ SchedulingEnv::SchedulingEnv(const dag::TaskGraph& graph,
       heft_ref_(sched::heft_expected_makespan(graph, platform, costs)) {
   if (config.incremental_encoding) {
     inc_ = std::make_unique<IncrementalEncoder>(graph, costs, config.window);
+    inc_->set_sparse_ahat(config.sparse_ahat);
   }
   reset(config.seed);
 }

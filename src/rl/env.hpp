@@ -45,6 +45,12 @@ class SchedulingEnv {
     /// default: the training loop keeps its historical code path, serve
     /// sessions turn it on.
     bool incremental_encoding = false;
+    /// With incremental_encoding: observations carry Â as the CSR view
+    /// only and leave the dense `ahat` empty (see
+    /// IncrementalEncoder::set_sparse_ahat). For consumers that read
+    /// ahat_csr alone — the f32simd backend; serve sessions set it from
+    /// the service's backend kind. Ignored by the full encoder.
+    bool sparse_ahat = false;
   };
 
   struct StepResult {

@@ -149,6 +149,7 @@ IncrementalEncoder::IncrementalEncoder(const dag::TaskGraph& graph,
     row[base_ + 5] =
         costs_.expected(kernel, sim::ResourceType::kGpu) / time_scale_;
   }
+  row_of_.assign(n_tasks, dag::Window::npos);
 }
 
 const Observation& IncrementalEncoder::encode(const sim::EngineView& engine,
@@ -227,7 +228,7 @@ const Observation& IncrementalEncoder::encode(const sim::EngineView& engine,
   // full encoder's O(n·R) scan. Values match bitwise (same expressions).
   const double now = engine.now();
   for (const auto& info : engine.running()) {
-    const std::size_t pos = obs_.window.position_of(info.task);
+    const std::size_t pos = row_of_[info.task];
     if (pos == dag::Window::npos) continue;
     double* row = obs_.features.data() + pos * w;
     row[base_ + 1] = 1.0;
@@ -276,19 +277,22 @@ const Observation& IncrementalEncoder::encode(const sim::EngineView& engine,
 
 void IncrementalEncoder::rebuild_topology() {
   ++rebuilds_;
-  dag::Window w = dag::extract_window(*graph_, seeds_scratch_, window_);
+  dag::Window& w = obs_.window;
+  const std::size_t prev_n = w.size();
+  // The previous edge list moves to prev_edges_ for the Â test below, and
+  // the older buffer it held takes the new edges.
+  w.edges.swap(prev_edges_);
+  dag::extract_window_into(*graph_, seeds_scratch_, window_, row_of_, w);
   const std::size_t n = w.size();
   // Â depends only on the node count and the index-pair edge list; an
   // identical edge set over the same count yields the same matrix.
-  const bool same_ahat = valid_ && n == obs_.window.size() &&
-                         w.edges == obs_.window.edges;
-  obs_.window = std::move(w);
+  const bool same_ahat = valid_ && n == prev_n && w.edges == prev_edges_;
   if (same_ahat) {
     ++ahat_reuses_;
   } else {
     obs_.ahat = sparse_ahat_ ? tensor::Tensor()
-                             : nn::normalized_adjacency(n, obs_.window.edges);
-    nn::normalized_adjacency_csr(n, obs_.window.edges, obs_.ahat_csr);
+                             : nn::normalized_adjacency(n, w.edges);
+    nn::normalized_adjacency_csr(n, w.edges, obs_.ahat_csr, csr_scratch_);
   }
   const std::size_t width = static_cast<std::size_t>(width_);
   if (obs_.features.rows() != n || obs_.features.cols() != width) {
@@ -296,8 +300,7 @@ void IncrementalEncoder::rebuild_topology() {
   }
   for (std::size_t i = 0; i < n; ++i) {
     std::memcpy(obs_.features.data() + i * width,
-                base_rows_.data() +
-                    static_cast<std::size_t>(obs_.window.nodes[i]) * width,
+                base_rows_.data() + std::size_t{w.nodes[i]} * width,
                 width * sizeof(double));
   }
   running_rows_.clear();

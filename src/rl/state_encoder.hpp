@@ -102,6 +102,9 @@ class StateEncoder {
 ///    (running tasks then ready tasks) changed since the last encode —
 ///    consecutive offers at the same decision instant with no start in
 ///    between (∅ declines) reuse both outright;
+///  - a rebuild works in place: it reuses the observation's node, depth
+///    and edge buffers, indexes tasks through a dense task -> row table
+///    (dag::extract_window_into) and keeps the CSR build's scratch;
 ///  - even across a rebuild, Â is reused when the induced edge set is
 ///    unchanged (e.g. periodic re-encodes of a quiescent state);
 ///  - dynamic columns are written as deltas: the running columns touched
@@ -165,6 +168,12 @@ class IncrementalEncoder {
   tensor::Tensor base_rows_;  ///< num_tasks x width: static + duration cols
 
   Observation obs_;
+  /// task -> row of obs_.window (npos off the window); see
+  /// dag::extract_window_into. obs_.window.index stays empty.
+  std::vector<std::size_t> row_of_;
+  /// The window's edge list before the last rebuild (the same_ahat test).
+  std::vector<std::pair<std::size_t, std::size_t>> prev_edges_;
+  nn::CsrScratch csr_scratch_;
   std::vector<dag::TaskId> seeds_;          ///< seed signature of obs_
   std::vector<dag::TaskId> seeds_scratch_;  ///< this encode's seeds
   std::vector<std::size_t> running_rows_;   ///< rows with running cols set

@@ -125,9 +125,12 @@ std::unique_ptr<Session> DecisionService::build_session(
     }
     graph = it->second;
   }
-  return std::make_unique<Session>(id, spec, platform_, std::move(graph),
-                                   agent_.window, attempt,
-                                   cfg_.incremental_encoding);
+  // The f32 backend reads Â through the CSR view only, as in
+  // ReadysScheduler::reset; kF64Ref needs the dense matrix.
+  return std::make_unique<Session>(
+      id, spec, platform_, std::move(graph), agent_.window, attempt,
+      cfg_.incremental_encoding,
+      cfg_.inference_backend == rl::InferenceBackendKind::kF32Simd);
 }
 
 const TenantPolicy& DecisionService::policy_for(
@@ -221,8 +224,19 @@ DecisionService::Admission DecisionService::submit(const SessionSpec& spec_in) {
   std::unique_ptr<Session> session = build_session(out.id, spec, 0);
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    queue_.push_back(QosQueue::Entry{std::move(session), Clock::time_point{}});
-    update_gauges();
+    if (!stop_) {
+      queue_.push_back(
+          QosQueue::Entry{std::move(session), Clock::time_point{}});
+      update_gauges();
+    }
+  }
+  if (session != nullptr) {
+    // abort_shutdown() landed while the session was being built: its
+    // queue sweep is over or under way and would never see this one, so
+    // retire it here to keep admissions and retirements balanced.
+    retire(std::move(session), SessionState::kAborted, "service aborted",
+           /*was_active=*/false);
+    return out;
   }
   work_cv_.notify_one();
   return out;

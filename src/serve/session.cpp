@@ -9,7 +9,8 @@ namespace readys::serve {
 namespace {
 
 rl::SchedulingEnv::Config env_config(const SessionSpec& spec, int window,
-                                     int attempt, bool incremental) {
+                                     int attempt, bool incremental,
+                                     bool sparse_ahat) {
   rl::SchedulingEnv::Config cfg;
   cfg.sigma = spec.sigma;
   cfg.window = window;
@@ -21,6 +22,7 @@ rl::SchedulingEnv::Config env_config(const SessionSpec& spec, int window,
                                                      attempt);
   cfg.faults = spec.faults;
   cfg.incremental_encoding = incremental;
+  cfg.sparse_ahat = sparse_ahat;
   return cfg;
 }
 
@@ -55,13 +57,14 @@ const char* session_state_name(SessionState s) {
 Session::Session(std::uint64_t id, SessionSpec spec,
                  const sim::Platform& platform,
                  std::shared_ptr<const dag::TaskGraph> graph, int window,
-                 int attempt, bool incremental_encoding)
+                 int attempt, bool incremental_encoding, bool sparse_ahat)
     : id_(id),
       spec_(spec),
       attempt_(attempt),
       graph_(std::move(graph)),
       env_(*graph_, platform, core::make_costs(spec.app),
-           env_config(spec, window, attempt, incremental_encoding)),
+           env_config(spec, window, attempt, incremental_encoding,
+                      sparse_ahat)),
       // The action stream derives from the spec seed, not the attempt:
       // sampling-mode decisions replay identically when the env state
       // does, and stay independent of every other session either way.

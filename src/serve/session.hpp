@@ -96,10 +96,12 @@ class Session {
   /// under a fresh fault/noise stream while staying deterministic.
   /// `incremental_encoding` selects the IncrementalEncoder for this
   /// session's env (bit-identical observations; the long-lived serving
-  /// path wants the amortized encode).
+  /// path wants the amortized encode). `sparse_ahat` then skips the dense
+  /// Â the f32simd backend never reads (SchedulingEnv::Config).
   Session(std::uint64_t id, SessionSpec spec, const sim::Platform& platform,
           std::shared_ptr<const dag::TaskGraph> graph, int window,
-          int attempt = 0, bool incremental_encoding = false);
+          int attempt = 0, bool incremental_encoding = false,
+          bool sparse_ahat = false);
 
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 
 #if defined(__x86_64__) && !defined(READYS_NO_AVX2)
 #define READYS_F32_HAVE_AVX2 1
@@ -36,44 +37,6 @@ void matmul_bias_scalar(const float* a, std::size_t m, std::size_t k,
   }
 }
 
-#if READYS_F32_HAVE_AVX2
-// Same i-l-j loop (each output element accumulates the inner dimension
-// in ascending order, like the scalar kernel and the f64 matmul_value);
-// only the j loop is 8-wide and mul+add fuses into FMA.
-__attribute__((target("avx2,fma"))) void matmul_bias_avx2(
-    const float* a, std::size_t m, std::size_t k, const float* b,
-    std::size_t n, const float* bias, float* c) noexcept {
-  for (std::size_t i = 0; i < m; ++i) {
-    float* crow = c + i * n;
-    std::size_t j = 0;
-    if (bias != nullptr) {
-      for (; j + 8 <= n; j += 8) {
-        _mm256_storeu_ps(crow + j, _mm256_loadu_ps(bias + j));
-      }
-      for (; j < n; ++j) crow[j] = bias[j];
-    } else {
-      const __m256 zero = _mm256_setzero_ps();
-      for (; j + 8 <= n; j += 8) _mm256_storeu_ps(crow + j, zero);
-      for (; j < n; ++j) crow[j] = 0.0f;
-    }
-    const float* arow = a + i * k;
-    for (std::size_t l = 0; l < k; ++l) {
-      const float ail = arow[l];
-      if (ail == 0.0f) continue;
-      const float* brow = b + l * n;
-      const __m256 av = _mm256_set1_ps(ail);
-      j = 0;
-      for (; j + 8 <= n; j += 8) {
-        __m256 cv = _mm256_loadu_ps(crow + j);
-        cv = _mm256_fmadd_ps(av, _mm256_loadu_ps(brow + j), cv);
-        _mm256_storeu_ps(crow + j, cv);
-      }
-      for (; j < n; ++j) crow[j] += ail * brow[j];
-    }
-  }
-}
-#endif  // READYS_F32_HAVE_AVX2
-
 void spmm_bias_scalar(const std::size_t* row_ptr, const std::size_t* col,
                       const double* val, std::size_t m, const float* x,
                       std::size_t n, const float* bias, float* c) noexcept {
@@ -93,35 +56,117 @@ void spmm_bias_scalar(const std::size_t* row_ptr, const std::size_t* col,
 }
 
 #if READYS_F32_HAVE_AVX2
+// Register-blocked AVX2 kernels. For each output row, one pass holds a
+// tile of up to 4 x 8 columns in __m256 accumulators across the whole
+// inner loop and stores it once; the columns past the last multiple of 8
+// take a scalar tail. Every output element sees the same operation
+// sequence as a plain fmaf loop: the bias (or zero), then one fused
+// multiply-add per inner term in ascending order.
+
+// The inner terms of one GEMM output row: a[i][l] against row l of b,
+// l ascending, zero coefficients skipped.
+struct GemmRow {
+  const float* a;
+  const float* b;
+  std::size_t k;
+  std::size_t n;
+
+  std::size_t terms() const noexcept { return k; }
+  bool term(std::size_t l, float& coef, const float*& in) const noexcept {
+    coef = a[l];
+    in = b + l * n;
+    return coef != 0.0f;  // sparse adjacency rows skip cheaply
+  }
+};
+
+// The inner terms of one SpMM output row: its stored nonzeros (ascending
+// columns) against rows col[p] of x, each value rounded to float once.
+struct CsrRow {
+  const std::size_t* col;
+  const double* val;
+  const float* x;
+  std::size_t begin;
+  std::size_t end;
+  std::size_t n;
+
+  std::size_t terms() const noexcept { return end - begin; }
+  bool term(std::size_t t, float& coef, const float*& in) const noexcept {
+    coef = static_cast<float>(val[begin + t]);
+    in = x + col[begin + t] * n;
+    return true;
+  }
+};
+
+// Columns [j, j + 8 * NV) of one output row.
+template <int NV, class Row>
+__attribute__((target("avx2,fma"))) inline void tile_avx2(
+    const Row& row, const float* bias, std::size_t j, float* crow) noexcept {
+  __m256 acc[NV];
+  for (int v = 0; v < NV; ++v) {
+    acc[v] = bias != nullptr ? _mm256_loadu_ps(bias + j + 8 * v)
+                             : _mm256_setzero_ps();
+  }
+  const std::size_t terms = row.terms();
+  for (std::size_t t = 0; t < terms; ++t) {
+    float coef = 0.0f;
+    const float* in = nullptr;
+    if (!row.term(t, coef, in)) continue;
+    const __m256 cv = _mm256_set1_ps(coef);
+    for (int v = 0; v < NV; ++v) {
+      acc[v] = _mm256_fmadd_ps(cv, _mm256_loadu_ps(in + j + 8 * v), acc[v]);
+    }
+  }
+  for (int v = 0; v < NV; ++v) _mm256_storeu_ps(crow + j + 8 * v, acc[v]);
+}
+
+template <class Row>
+__attribute__((target("avx2,fma"))) void row_avx2(
+    const Row& row, std::size_t n, const float* bias, float* crow) noexcept {
+  std::size_t j = 0;
+  for (; j + 32 <= n; j += 32) tile_avx2<4>(row, bias, j, crow);
+  switch ((n - j) / 8) {
+    case 3:
+      tile_avx2<3>(row, bias, j, crow);
+      j += 24;
+      break;
+    case 2:
+      tile_avx2<2>(row, bias, j, crow);
+      j += 16;
+      break;
+    case 1:
+      tile_avx2<1>(row, bias, j, crow);
+      j += 8;
+      break;
+    default:
+      break;
+  }
+  const std::size_t terms = row.terms();
+  for (; j < n; ++j) {
+    float acc = bias != nullptr ? bias[j] : 0.0f;
+    for (std::size_t t = 0; t < terms; ++t) {
+      float coef = 0.0f;
+      const float* in = nullptr;
+      if (row.term(t, coef, in)) acc = std::fma(coef, in[j], acc);
+    }
+    crow[j] = acc;
+  }
+}
+
+__attribute__((target("avx2,fma"))) void matmul_bias_avx2(
+    const float* a, std::size_t m, std::size_t k, const float* b,
+    std::size_t n, const float* bias, float* c) noexcept {
+  for (std::size_t i = 0; i < m; ++i) {
+    row_avx2(GemmRow{a + i * k, b, k, n}, n, bias, c + i * n);
+  }
+}
+
 __attribute__((target("avx2,fma"))) void spmm_bias_avx2(
     const std::size_t* row_ptr, const std::size_t* col, const double* val,
     std::size_t m, const float* x, std::size_t n, const float* bias,
     float* c) noexcept {
   for (std::size_t i = 0; i < m; ++i) {
-    float* crow = c + i * n;
-    std::size_t j = 0;
-    if (bias != nullptr) {
-      for (; j + 8 <= n; j += 8) {
-        _mm256_storeu_ps(crow + j, _mm256_loadu_ps(bias + j));
-      }
-      for (; j < n; ++j) crow[j] = bias[j];
-    } else {
-      const __m256 zero = _mm256_setzero_ps();
-      for (; j + 8 <= n; j += 8) _mm256_storeu_ps(crow + j, zero);
-      for (; j < n; ++j) crow[j] = 0.0f;
-    }
-    for (std::size_t p = row_ptr[i]; p < row_ptr[i + 1]; ++p) {
-      const float a = static_cast<float>(val[p]);
-      const float* xrow = x + col[p] * n;
-      const __m256 av = _mm256_set1_ps(a);
-      j = 0;
-      for (; j + 8 <= n; j += 8) {
-        __m256 cv = _mm256_loadu_ps(crow + j);
-        cv = _mm256_fmadd_ps(av, _mm256_loadu_ps(xrow + j), cv);
-        _mm256_storeu_ps(crow + j, cv);
-      }
-      for (; j < n; ++j) crow[j] += a * xrow[j];
-    }
+    row_avx2(CsrRow{col, val, x, row_ptr[i], row_ptr[i + 1], n}, n, bias,
+             c + i * n);
   }
 }
 #endif  // READYS_F32_HAVE_AVX2

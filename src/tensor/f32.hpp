@@ -11,10 +11,13 @@ namespace readys::tensor::f32 {
 /// mean/max pooling — over raw row-major float buffers (typically
 /// arena-allocated, see tensor/arena.hpp).
 ///
-/// Numerical contract: every output element c[i][j] is accumulated over
-/// the inner dimension in ascending order in both the scalar and the
-/// AVX2 kernel, so the two differ only by FMA contraction (no
-/// reassociation). Agreement with the f64 reference path is pinned by
+/// Numerical contract: every output element c[i][j] starts from the bias
+/// (or zero) and accumulates the inner dimension in ascending order in
+/// both kernels, with no reassociation. The AVX2 kernel fuses each step
+/// into one fmaf, so it is bit-identical to a plain std::fmaf loop at
+/// every width; the scalar kernel (built with -ffp-contract=off) rounds
+/// the product and the sum separately, so it agrees with AVX2 only
+/// within tolerance. Agreement with the f64 reference path is pinned by
 /// tolerance tests, not bit-exactness.
 
 /// Instruction set the GEMM dispatches to.

@@ -1,5 +1,6 @@
 // Inference fast-path suite (`ctest -L infer`): the f32 SIMD kernels
-// against double references, runtime ISA dispatch, the CSR adjacency,
+// against double references and, bit for bit, against a plain fmaf loop,
+// runtime ISA dispatch, the CSR adjacency,
 // the InferenceBackend contract (f64ref bit-exactness, f32simd argmax
 // agreement >= 99.9% with a logit-MAE bound across apps), the
 // readys(backend=...) registry spec, and RunConfig's inference_backend
@@ -61,6 +62,64 @@ std::vector<double> matmul_ref(const std::vector<float>& a, std::size_t m,
     }
   }
   return c;
+}
+
+/// The AVX2 kernels' exact contract: per output element, the bias (or
+/// zero), then one std::fmaf per inner term in ascending order, skipping
+/// zero entries of `a`.
+std::vector<float> matmul_fmaf_oracle(const std::vector<float>& a,
+                                      std::size_t m, std::size_t k,
+                                      const std::vector<float>& b,
+                                      std::size_t n, const float* bias) {
+  std::vector<float> c(m * n);
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      float acc = bias != nullptr ? bias[j] : 0.0f;
+      for (std::size_t l = 0; l < k; ++l) {
+        if (a[i * k + l] == 0.0f) continue;
+        acc = std::fmaf(a[i * k + l], b[l * n + j], acc);
+      }
+      c[i * n + j] = acc;
+    }
+  }
+  return c;
+}
+
+std::vector<float> spmm_fmaf_oracle(const rn::SparseAdj& csr,
+                                    const std::vector<float>& x,
+                                    std::size_t n, const float* bias) {
+  const std::size_t m = csr.rows();
+  std::vector<float> c(m * n);
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      float acc = bias != nullptr ? bias[j] : 0.0f;
+      for (std::size_t p = csr.row_ptr[i]; p < csr.row_ptr[i + 1]; ++p) {
+        acc = std::fmaf(static_cast<float>(csr.val[p]), x[csr.col[p] * n + j],
+                        acc);
+      }
+      c[i * n + j] = acc;
+    }
+  }
+  return c;
+}
+
+/// Output widths covering every tile shape of the AVX2 kernels: scalar
+/// tail only, one to four 8-wide blocks, and full 32-wide passes with
+/// and without leftovers.
+constexpr std::size_t kKernelWidths[] = {1, 7, 8, 9, 17, 31, 32, 33, 40, 64};
+
+/// Under AVX2 the kernel must equal the fmaf oracle on every float; the
+/// scalar kernel (mul then add, unfused) only within tolerance.
+void expect_matches_oracle(const std::vector<float>& got,
+                           const std::vector<float>& want, bool exact) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    if (exact) {
+      ASSERT_EQ(got[i], want[i]) << "at " << i;
+    } else {
+      ASSERT_NEAR(got[i], want[i], 1e-4f) << "at " << i;
+    }
+  }
 }
 
 rr::PolicyNet make_net(int hidden, std::uint64_t seed,
@@ -146,6 +205,63 @@ TEST(F32Kernels, SpmmMatchesDenseMatmulBitForBit) {
   for (std::size_t i = 0; i < n * h; ++i) {
     EXPECT_EQ(c_csr[i], c_dense[i]) << "at " << i;
   }
+}
+
+TEST(F32Kernels, MatmulBiasBitPinnedToFmafOracleAtEveryWidth) {
+  const std::size_t m = 5, k = 11;
+  auto a = random_floats(m * k, 21);
+  for (std::size_t i = 0; i < m * k; i += 3) a[i] = 0.0f;  // skipped terms
+  for (std::size_t l = 0; l < k; ++l) a[2 * k + l] = 0.0f;  // all-zero row
+  for (const bool scalar : {false, true}) {
+    f32::force_scalar(scalar);
+    const bool exact = f32::active_isa() == f32::Isa::kAvx2;
+    for (const std::size_t n : kKernelWidths) {
+      const auto b = random_floats(k * n, 22 + n);
+      const auto bias = random_floats(n, 23 + n);
+      const float* const bias_options[] = {bias.data(), nullptr};
+      for (const float* bp : bias_options) {
+        SCOPED_TRACE(testing::Message() << "n=" << n << " bias="
+                                        << (bp != nullptr)
+                                        << " scalar=" << scalar);
+        std::vector<float> c(m * n);
+        f32::matmul_bias(a.data(), m, k, b.data(), n, bp, c.data());
+        expect_matches_oracle(c, matmul_fmaf_oracle(a, m, k, b, n, bp), exact);
+      }
+    }
+  }
+  f32::force_scalar(false);
+}
+
+TEST(F32Kernels, SpmmBiasBitPinnedToFmafOracleAtEveryWidth) {
+  // Hand-built CSR over 6 rows with uneven row lengths, including an
+  // empty row (output = bias) and a row that repeats a column.
+  rn::SparseAdj csr;
+  csr.row_ptr = {0, 3, 3, 4, 8, 10, 12};
+  csr.col = {0, 2, 5, 1, 0, 1, 3, 4, 2, 2, 4, 5};
+  readys::util::Rng rng(24);
+  for (std::size_t p = 0; p < csr.col.size(); ++p) {
+    csr.val.push_back(rng.uniform() * 2.0 - 1.0);
+  }
+  const std::size_t m = csr.rows();
+  for (const bool scalar : {false, true}) {
+    f32::force_scalar(scalar);
+    const bool exact = f32::active_isa() == f32::Isa::kAvx2;
+    for (const std::size_t n : kKernelWidths) {
+      const auto x = random_floats(m * n, 25 + n);
+      const auto bias = random_floats(n, 26 + n);
+      const float* const bias_options[] = {bias.data(), nullptr};
+      for (const float* bp : bias_options) {
+        SCOPED_TRACE(testing::Message() << "n=" << n << " bias="
+                                        << (bp != nullptr)
+                                        << " scalar=" << scalar);
+        std::vector<float> c(m * n);
+        f32::spmm_bias(csr.row_ptr.data(), csr.col.data(), csr.val.data(), m,
+                       x.data(), n, bp, c.data());
+        expect_matches_oracle(c, spmm_fmaf_oracle(csr, x, n, bp), exact);
+      }
+    }
+  }
+  f32::force_scalar(false);
 }
 
 TEST(F32Kernels, PoolingAndDotKnownAnswers) {

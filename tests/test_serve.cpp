@@ -410,3 +410,22 @@ TEST(Serve, ResultsAreStableAcrossBatchWidths) {
     EXPECT_EQ(wide[i].makespan, narrow[i].makespan);
   }
 }
+
+TEST(Serve, SessionsSkipTheDenseAhatOnlyWhenAsked) {
+  // f32simd services build sessions with sparse_ahat: the backend reads
+  // only the CSR view, so the dense Â is never built. f64ref sessions
+  // keep it. The CSR view is identical either way.
+  const auto spec = spec_for(readys::core::App::kCholesky, 4, 7);
+  const auto graph = std::make_shared<const readys::dag::TaskGraph>(
+      rc::make_graph(spec.app, spec.tiles));
+  const auto platform = rs::Platform::hybrid(2, 2);
+  rv::Session dense(1, spec, platform, graph, 2, 0, true, false);
+  rv::Session sparse(2, spec, platform, graph, 2, 0, true, true);
+  const rr::Observation& a = dense.observation();
+  const rr::Observation& b = sparse.observation();
+  EXPECT_EQ(a.ahat.rows(), a.window.size());
+  EXPECT_EQ(b.ahat.size(), 0u);
+  EXPECT_EQ(a.ahat_csr.row_ptr, b.ahat_csr.row_ptr);
+  EXPECT_EQ(a.ahat_csr.col, b.ahat_csr.col);
+  EXPECT_EQ(a.ahat_csr.val, b.ahat_csr.val);
+}

@@ -145,8 +145,13 @@ TEST(StateEncoder, CpuOnlyPlatformHasGpuDefaults) {
 
 namespace {
 
+/// `b` is an incremental encoding of the state `a` was fully encoded
+/// from. With `dense_ahat` false, `b` comes from a sparse-Â encoder: its
+/// dense Â must be empty and everything else, the CSR view included,
+/// equal.
 void expect_observations_equal(const rr::Observation& a,
-                               const rr::Observation& b) {
+                               const rr::Observation& b,
+                               bool dense_ahat = true) {
   ASSERT_EQ(a.window.nodes, b.window.nodes);
   ASSERT_EQ(a.window.edges, b.window.edges);
   ASSERT_EQ(a.window.depth, b.window.depth);
@@ -155,9 +160,13 @@ void expect_observations_equal(const rr::Observation& a,
   for (std::size_t i = 0; i < a.features.size(); ++i) {
     ASSERT_EQ(a.features[i], b.features[i]) << "feature " << i;
   }
-  ASSERT_EQ(a.ahat.rows(), b.ahat.rows());
-  for (std::size_t i = 0; i < a.ahat.size(); ++i) {
-    ASSERT_EQ(a.ahat[i], b.ahat[i]) << "ahat " << i;
+  if (dense_ahat) {
+    ASSERT_EQ(a.ahat.rows(), b.ahat.rows());
+    for (std::size_t i = 0; i < a.ahat.size(); ++i) {
+      ASSERT_EQ(a.ahat[i], b.ahat[i]) << "ahat " << i;
+    }
+  } else {
+    ASSERT_EQ(b.ahat.size(), 0u) << "dense Â must stay empty in sparse mode";
   }
   ASSERT_EQ(a.ahat_csr.row_ptr, b.ahat_csr.row_ptr);
   ASSERT_EQ(a.ahat_csr.col, b.ahat_csr.col);
@@ -169,12 +178,28 @@ void expect_observations_equal(const rr::Observation& a,
   }
   ASSERT_EQ(a.current_resource, b.current_resource);
   ASSERT_EQ(a.allow_idle, b.allow_idle);
+  // The encoder indexes rows through its own table and leaves the
+  // window's hash index empty; position_of must still find every node.
+  for (std::size_t i = 0; i < b.window.size(); ++i) {
+    ASSERT_EQ(b.window.position_of(b.window.nodes[i]), i) << "row " << i;
+  }
 }
 
-/// Scheduler wrapper comparing full vs incremental encodings at every
-/// decision instant, for every idle resource, then delegating to MCT so
-/// the run makes progress. Used under both the plain Simulator and the
-/// cluster's shard coordinator (scoped views with steals).
+/// True when the sequence drops at some point and rises again later.
+bool shrinks_then_grows(const std::vector<std::size_t>& sizes) {
+  bool shrunk = false;
+  for (std::size_t i = 1; i < sizes.size(); ++i) {
+    if (sizes[i] < sizes[i - 1]) shrunk = true;
+    if (shrunk && sizes[i] > sizes[i - 1]) return true;
+  }
+  return false;
+}
+
+/// Scheduler wrapper comparing full vs incremental encodings (dense and
+/// sparse Â) at every decision instant, for every idle resource, then
+/// delegating to MCT so the run makes progress. Used under both the
+/// plain Simulator and the cluster's shard coordinator (scoped views with
+/// steals).
 class ComparingScheduler final : public rs::Scheduler {
  public:
   explicit ComparingScheduler(int window) : window_(window) {}
@@ -184,6 +209,9 @@ class ComparingScheduler final : public rs::Scheduler {
                                                window_);
     inc_ = std::make_unique<rr::IncrementalEncoder>(view.graph(), view.costs(),
                                                     window_);
+    sparse_ = std::make_unique<rr::IncrementalEncoder>(view.graph(),
+                                                       view.costs(), window_);
+    sparse_->set_sparse_ahat(true);
     inner_.reset(view);
   }
 
@@ -193,6 +221,9 @@ class ComparingScheduler final : public rs::Scheduler {
         const rr::Observation a = full_->encode(view, r);
         const rr::Observation& b = inc_->encode(view, r);
         expect_observations_equal(a, b);
+        expect_observations_equal(a, sparse_->encode(view, r),
+                                  /*dense_ahat=*/false);
+        window_sizes_.push_back(b.window.size());
         ++comparisons_;
       }
     }
@@ -201,13 +232,19 @@ class ComparingScheduler final : public rs::Scheduler {
 
   std::string name() const override { return "comparing:mct"; }
   std::size_t comparisons() const noexcept { return comparisons_; }
+  /// Window size at every comparison, in order.
+  const std::vector<std::size_t>& window_sizes() const noexcept {
+    return window_sizes_;
+  }
 
  private:
   int window_;
   std::unique_ptr<rr::StateEncoder> full_;
   std::unique_ptr<rr::IncrementalEncoder> inc_;
+  std::unique_ptr<rr::IncrementalEncoder> sparse_;
   readys::sched::MctScheduler inner_;
   std::size_t comparisons_ = 0;
+  std::vector<std::size_t> window_sizes_;
 };
 
 }  // namespace
@@ -221,6 +258,20 @@ TEST(IncrementalEncoder, MatchesFullEncoderThroughACleanRun) {
     EXPECT_GT(r.makespan, 0.0);
     EXPECT_GT(sched.comparisons(), f.graph.num_tasks());
   }
+}
+
+TEST(IncrementalEncoder, MatchesFullEncoderAsTheWindowShrinksAndGrows) {
+  // In-place rebuilds reuse the previous window's buffers and row table:
+  // a window that shrinks must not leave stale rows behind for the next,
+  // larger one. Cholesky's wavefront widens and narrows repeatedly.
+  const auto graph = rd::cholesky_graph(6);
+  const auto platform = rs::Platform::hybrid(2, 2);
+  const auto costs = rs::CostModel::cholesky();
+  ComparingScheduler sched(2);
+  rs::Simulator sim(graph, platform, costs, {0.3, 3, {}, {}});
+  sim.run(sched);
+  EXPECT_TRUE(shrinks_then_grows(sched.window_sizes()))
+      << "no rebuild shrank the window and a later one grew it";
 }
 
 TEST(IncrementalEncoder, MatchesFullEncoderUnderFaultKillAndReReady) {
@@ -294,6 +345,35 @@ TEST(IncrementalEncoder, ReusesTopologyAcrossIdleDeclines) {
   (void)inc.encode(engine, 3);
   EXPECT_EQ(inc.window_rebuilds(), rebuilds);
   EXPECT_EQ(inc.window_reuses(), 2u);
+}
+
+TEST(IncrementalEncoder, ReencodeAfterInvalidateRebuildsAndMatches) {
+  Fixture f;
+  rs::SimEngine engine(f.graph, f.platform, f.costs, 0.0, 1);
+  rr::StateEncoder full(f.graph, f.costs, 2);
+  for (const bool sparse : {false, true}) {
+    rr::IncrementalEncoder inc(f.graph, f.costs, 2);
+    inc.set_sparse_ahat(sparse);
+    engine.reset(1);
+    (void)inc.encode(engine, 0);
+    // Same state: the cached topology would be reused; invalidate()
+    // forces a rebuild with identical output.
+    inc.invalidate();
+    auto rebuilds = inc.window_rebuilds();
+    expect_observations_equal(full.encode(engine, 0), inc.encode(engine, 0),
+                              !sparse);
+    EXPECT_EQ(inc.window_rebuilds(), rebuilds + 1);
+    // A different state after invalidate(): the rebuild must clear the
+    // previous window's rows and running columns.
+    engine.start(f.graph.sources().front(), 0);
+    engine.advance();
+    engine.start(engine.ready().front(), 2);
+    inc.invalidate();
+    rebuilds = inc.window_rebuilds();
+    expect_observations_equal(full.encode(engine, 1), inc.encode(engine, 1),
+                              !sparse);
+    EXPECT_EQ(inc.window_rebuilds(), rebuilds + 1);
+  }
 }
 
 TEST(IncrementalEncoder, SparseAhatModeSkipsDenseAndKeepsCsr) {

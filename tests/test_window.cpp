@@ -97,3 +97,34 @@ TEST(Window, DepthValuesAreShortestDistances) {
   const auto w = rd::extract_window(g, {0}, 3);
   EXPECT_EQ(w.depth[w.position_of(3)], 1);
 }
+
+TEST(Window, InPlaceExtractMatchesFreshExtractAcrossReuse) {
+  // One Window and one dense row table reused across seed sets that grow,
+  // shrink and overlap: every result must equal a fresh extract_window,
+  // and the table must hold exactly the current window's rows.
+  const auto g = rd::cholesky_graph(6);
+  const std::vector<std::vector<rd::TaskId>> seed_sets = {
+      {0}, {1, 2, 3}, {4}, {0, 7, 9, 12}, {}, {20, 1},
+      {static_cast<rd::TaskId>(g.num_tasks() - 1)},
+      {5, 6, 7, 8, 9, 10, 11}};
+  std::vector<std::size_t> row_of(g.num_tasks(), rd::Window::npos);
+  rd::Window w;
+  for (const int depth : {0, 1, 2, 3}) {
+    for (const auto& seeds : seed_sets) {
+      rd::extract_window_into(g, seeds, depth, row_of, w);
+      const rd::Window fresh = rd::extract_window(g, seeds, depth);
+      ASSERT_EQ(w.nodes, fresh.nodes);
+      ASSERT_EQ(w.depth, fresh.depth);
+      ASSERT_EQ(w.edges, fresh.edges);
+      EXPECT_TRUE(w.index.empty());
+      std::size_t set = 0;
+      for (rd::TaskId t = 0; t < g.num_tasks(); ++t) {
+        const std::size_t row = row_of[t];
+        EXPECT_EQ(row, fresh.position_of(t)) << "task " << t;
+        EXPECT_EQ(w.position_of(t), row) << "task " << t;
+        if (row != rd::Window::npos) ++set;
+      }
+      EXPECT_EQ(set, w.size());
+    }
+  }
+}
