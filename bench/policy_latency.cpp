@@ -8,8 +8,10 @@
 //   f32simd + full         float32 SIMD forward, from-scratch encoding
 //   f32simd + incremental  the fast path serve/cluster default to
 //
-// and reports mean/p50/p95 microseconds per decision plus the headline
-// speedup (f32simd+incremental vs f64ref+full) into
+// and reports mean/p50/p95 microseconds per decision, policy forwards and
+// same-call output reuses per decision (ReadysScheduler::forwards and
+// offer_reuses), plus the headline speedup (f32simd+incremental vs
+// f64ref+full) into
 // BENCH_policy_latency.json (+ sibling manifest). A second phase times
 // InferenceBackend::forward_batched against one-at-a-time forward() over
 // harvested observations, the serve batching tradeoff: 20 interleaved
@@ -69,6 +71,8 @@ class TimedScheduler final : public sim::Scheduler {
 
   std::string name() const override { return "timed:" + inner_.name(); }
 
+  const rl::ReadysScheduler& inner() const { return inner_; }
+
  private:
   rl::ReadysScheduler inner_;
   std::vector<double>* samples_;  ///< null during warmup
@@ -80,6 +84,8 @@ struct Variant {
   bool incremental = false;
   std::vector<double> us;      ///< per-decision latencies
   double mean_makespan = 0.0;  ///< sanity: policy behavior, not speed
+  double forwards = 0.0;       ///< policy forwards per decision
+  double reuses = 0.0;         ///< same-call output reuses per decision
 };
 
 struct BatchedCell {
@@ -152,12 +158,15 @@ int main() {
                                        seed + static_cast<std::uint64_t>(ep));
     }
     v.mean_makespan = mk_sum / episodes;
+    const double decisions = static_cast<double>(v.us.size());
+    v.forwards = static_cast<double>(sched.inner().forwards()) / decisions;
+    v.reuses = static_cast<double>(sched.inner().offer_reuses()) / decisions;
     const auto s = util::summarize(v.us);
     std::printf("%-22s %6zu decisions | mean %8.1f us  p50 %8.1f  p95 %8.1f"
-                " | makespan %.1f\n",
+                " | fwd %.2f reuse %.2f /decision | makespan %.1f\n",
                 v.name.c_str(), v.us.size(), s.mean,
                 util::quantile(v.us, 0.50), util::quantile(v.us, 0.95),
-                v.mean_makespan);
+                v.forwards, v.reuses, v.mean_makespan);
   }
 
   const double base_mean = util::summarize(variants[0].us).mean;
@@ -241,6 +250,8 @@ int main() {
           .field("p50_us", util::quantile(v.us, 0.50))
           .field("p95_us", util::quantile(v.us, 0.95))
           .field("ci99_us", s.ci99_half_width)
+          .field("forwards_per_decision", v.forwards)
+          .field("reuses_per_decision", v.reuses)
           .field("mean_makespan", v.mean_makespan);
       if (i > 0) vjson += ",";
       vjson += j.str();

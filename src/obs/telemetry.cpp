@@ -30,6 +30,7 @@ Telemetry::Telemetry(TelemetryConfig config)
       vec_steps(registry_.counter("rl.vec_steps")),
       policy_forwards(registry_.counter("rl.policy_forwards")),
       encoder_delta_events(registry_.counter("rl.encoder_delta_events")),
+      offer_reuses(registry_.counter("rl.offer_reuses")),
       optim_updates(registry_.counter("rl.optimizer_updates")),
       optim_skipped(registry_.counter("rl.skipped_updates")),
       checkpoint_writes(registry_.counter("rl.checkpoint_writes")),

@@ -76,6 +76,8 @@ class Telemetry {
   Counter& policy_forwards;     ///< rl.policy_forwards
   Counter& encoder_delta_events;///< rl.encoder_delta_events (incremental
                                 ///< re-encodes that reused the window)
+  Counter& offer_reuses;        ///< rl.offer_reuses (READYS offers served
+                                ///< from a same-call policy output)
   Counter& optim_updates;       ///< rl.optimizer_updates
   Counter& optim_skipped;       ///< rl.skipped_updates
   Counter& checkpoint_writes;   ///< rl.checkpoint_writes

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "obs/telemetry.hpp"
 #include "sched/spec.hpp"
 
 namespace readys::rl {
@@ -47,31 +48,47 @@ std::vector<sim::Assignment> ReadysScheduler::decide(
   }
   if (engine.ready().empty()) return {};
 
-  std::vector<sim::ResourceId> cands;
-  for (sim::ResourceId r : engine.idle_resources()) {
-    if (!declined_.contains(r)) cands.push_back(r);
-  }
+  std::vector<sim::ResourceId> cands = engine.idle_resources();
+  std::erase_if(cands,
+                [&](sim::ResourceId r) { return declined_.contains(r); });
+  // Bit k set: outs_[k] holds this call's policy output for offer slot k.
+  unsigned evaluated = 0;
+  const std::vector<dag::TaskId>* ready_tasks = nullptr;
   while (!cands.empty()) {
     const std::size_t pick =
         opts_.random_offer ? rng_.uniform_index(cands.size()) : 0;
     const sim::ResourceId current = cands[pick];
     const bool allow_idle = engine.any_running() || cands.size() > 1;
-    const Observation& obs =
-        inc_ ? inc_->encode(engine, current, allow_idle)
-             : (obs_full_ = encoder_->encode(engine, current, allow_idle));
-    backend_->forward(obs, out_);
+    const std::size_t slot =
+        2 * static_cast<std::size_t>(engine.platform().type(current)) +
+        (allow_idle ? 1 : 0);
+    InferenceOutput& out = outs_[slot];
+    if ((evaluated >> slot) & 1u) {
+      ++offer_reuses_;
+      if (obs::Telemetry* tel = obs::telemetry()) tel->offer_reuses.add();
+    } else {
+      const Observation& obs =
+          inc_ ? inc_->encode(engine, current, allow_idle)
+               : (obs_full_ = encoder_->encode(engine, current, allow_idle));
+      backend_->forward(obs, out);
+      ++forwards_;
+      // A NaN policy must not silently argmax to action 0: surface it so
+      // a wrapper (sched::GuardedScheduler) can fall back to a heuristic.
+      for (std::size_t i = 0; i < out.probs.size(); ++i) {
+        if (!std::isfinite(out.probs[i])) {
+          throw std::runtime_error(
+              "ReadysScheduler: non-finite policy probability " +
+              std::to_string(out.probs[i]) + " at action " +
+              std::to_string(i));
+        }
+      }
+      evaluated |= 1u << slot;
+      // The ready list does not depend on the offered resource.
+      ready_tasks = &obs.ready_tasks;
+    }
 
     // Greedy argmax or categorical sample over π.
-    const std::vector<double>& p = out_.probs;
-    // A NaN policy must not silently argmax to action 0: surface it so a
-    // wrapper (sched::GuardedScheduler) can fall back to a heuristic.
-    for (std::size_t i = 0; i < p.size(); ++i) {
-      if (!std::isfinite(p[i])) {
-        throw std::runtime_error(
-            "ReadysScheduler: non-finite policy probability " +
-            std::to_string(p[i]) + " at action " + std::to_string(i));
-      }
-    }
+    const std::vector<double>& p = out.probs;
     std::size_t a = 0;
     if (opts_.greedy) {
       for (std::size_t i = 1; i < p.size(); ++i) {
@@ -89,12 +106,12 @@ std::vector<sim::Assignment> ReadysScheduler::decide(
         }
       }
     }
-    if (obs.allow_idle && a == obs.idle_action()) {
+    if (allow_idle && a == ready_tasks->size()) {  // the ∅ action
       declined_.insert(current);
       cands.erase(cands.begin() + static_cast<std::ptrdiff_t>(pick));
       continue;  // offer the instant to another idle resource
     }
-    return {{obs.ready_tasks[a], current}};
+    return {{(*ready_tasks)[a], current}};
   }
   return {};
 }

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <memory>
 #include <unordered_set>
 
@@ -35,6 +36,15 @@ struct ReadysOptions {
 /// The policy is evaluated through an InferenceBackend built in reset()
 /// — per episode, so a kF32Simd weight snapshot stays fresh across
 /// train-then-evaluate flows.
+///
+/// Within one decide() call the engine does not change, and the
+/// observation depends on the offered resource only through its type
+/// (the current-processor duration column and the cur-is-gpu resource
+/// feature) and on allow_idle. An offer whose (type, allow_idle) was
+/// already evaluated in the same call therefore reuses that policy output
+/// instead of encoding and forwarding again; selection (argmax, or a
+/// fresh sample from the same RNG stream) runs as usual, so schedules are
+/// bit-identical to forwarding every offer.
 class ReadysScheduler : public sim::Scheduler {
  public:
   /// The policy must outlive the scheduler.
@@ -52,7 +62,16 @@ class ReadysScheduler : public sim::Scheduler {
   std::vector<sim::Assignment> decide(const sim::EngineView& engine) override;
   std::string name() const override { return "READYS"; }
 
+  /// Policy evaluations run since construction (one per distinct offer
+  /// key per decide() call).
+  std::uint64_t forwards() const noexcept { return forwards_; }
+  /// Offers served from an output already computed in the same call.
+  std::uint64_t offer_reuses() const noexcept { return offer_reuses_; }
+
  private:
+  /// One slot per (offered ResourceType, allow_idle) key.
+  static constexpr std::size_t kOfferSlots = 2 * sim::kNumResourceTypes;
+
   const PolicyNet* net_;
   int window_;
   ReadysOptions opts_;
@@ -62,9 +81,13 @@ class ReadysScheduler : public sim::Scheduler {
   std::unique_ptr<IncrementalEncoder> inc_;
   std::unique_ptr<StateEncoder> encoder_;  ///< when !opts_.incremental
   Observation obs_full_;                   ///< scratch for the full encoder
-  InferenceOutput out_;                    ///< scratch, reused per decision
+  /// Policy outputs of the current decide() call, by offer slot; the
+  /// buffers are reused across calls, the contents never are.
+  std::array<InferenceOutput, kOfferSlots> outs_;
   std::unordered_set<int> declined_;
   double last_instant_ = -1.0;
+  std::uint64_t forwards_ = 0;
+  std::uint64_t offer_reuses_ = 0;
 };
 
 /// Registers (or re-registers) the trained policy in sched::registry()
