@@ -169,8 +169,10 @@ inline std::unique_ptr<rl::ReadysAgent> train_agent(
 /// Factory adapter for a trained agent (greedy evaluation policy).
 inline core::SchedulerFactory agent_factory(const rl::ReadysAgent& agent) {
   return [&agent](std::uint64_t seed) {
-    return std::make_unique<rl::ReadysScheduler>(
-        agent.net(), agent.config().window, /*greedy=*/true, seed);
+    rl::ReadysOptions opts;
+    opts.seed = seed;
+    return std::make_unique<rl::ReadysScheduler>(agent.net(),
+                                                 agent.config().window, opts);
   };
 }
 

@@ -36,8 +36,10 @@ int main(int argc, char** argv) {
   // 3. Compare against the baselines over 5 noise seeds.
   const int runs = 5;
   auto readys_factory = [&](std::uint64_t seed) {
-    return std::make_unique<rl::ReadysScheduler>(
-        agent.net(), cfg.window, /*greedy=*/true, seed);
+    rl::ReadysOptions opts;
+    opts.seed = seed;
+    return std::make_unique<rl::ReadysScheduler>(agent.net(), cfg.window,
+                                                 opts);
   };
   util::Table table({"scheduler", "mean makespan (ms)", "vs HEFT"});
   const auto heft = util::summarize(core::evaluate_makespans(

@@ -29,7 +29,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include <sys/stat.h>
@@ -84,6 +87,29 @@ int usage() {
   return 2;
 }
 
+/// A numeric argument that is not one whole, finite, in-range literal of
+/// its type; main() reports it and exits through usage().
+struct BadArgument : std::invalid_argument {
+  using std::invalid_argument::invalid_argument;
+};
+
+/// Strict numeric argument `text`; `name` labels it in the error.
+template <typename T>
+T num_arg(const char* name, const char* text) {
+  if (const auto v = util::parse_number<T>(text)) return *v;
+  throw BadArgument(std::string(name) + " expects " +
+                    (std::is_floating_point_v<T> ? "a finite number"
+                                                 : "an integer in range") +
+                    ", got '" + text + "'");
+}
+
+/// Value of the flag at argv[i]; advances i past it.
+template <typename T>
+T flag_arg(char** argv, int& i) {
+  const char* name = argv[i];
+  return num_arg<T>(name, argv[++i]);
+}
+
 int cmd_train(int argc, char** argv) {
   core::RunConfig cfg;
   const char* out_path = nullptr;
@@ -96,11 +122,11 @@ int cmd_train(int argc, char** argv) {
   } else {
     if (argc < 9) return usage();
     cfg.app = argv[2];
-    cfg.tiles = std::atoi(argv[3]);
-    cfg.ncpu = std::atoi(argv[4]);
-    cfg.ngpu = std::atoi(argv[5]);
-    cfg.episodes = std::atoi(argv[6]);
-    cfg.sigma = std::atof(argv[7]);
+    cfg.tiles = num_arg<int>("<tiles>", argv[3]);
+    cfg.ncpu = num_arg<int>("<ncpu>", argv[4]);
+    cfg.ngpu = num_arg<int>("<ngpu>", argv[5]);
+    cfg.episodes = num_arg<int>("<episodes>", argv[6]);
+    cfg.sigma = num_arg<double>("<sigma>", argv[7]);
     out_path = argv[8];
     flag_start = 9;
   }
@@ -112,26 +138,26 @@ int cmd_train(int argc, char** argv) {
     if (flag == "--trainer" && i + 1 < argc) {
       cfg.trainer = argv[++i];
     } else if (flag == "--num-envs" && i + 1 < argc) {
-      cfg.num_envs = std::atoi(argv[++i]);
+      cfg.num_envs = flag_arg<int>(argv, i);
     } else if (flag == "--updates-per-round" && i + 1 < argc) {
-      cfg.updates_per_round = std::atoi(argv[++i]);
+      cfg.updates_per_round = flag_arg<int>(argv, i);
     } else if (flag == "--async") {
       cfg.async = true;
     } else if (flag == "--async-strict") {
       cfg.async = true;
       cfg.async_strict = true;
     } else if (flag == "--async-actors" && i + 1 < argc) {
-      cfg.async_actors = std::atoi(argv[++i]);
+      cfg.async_actors = flag_arg<int>(argv, i);
     } else if (flag == "--async-queue" && i + 1 < argc) {
-      cfg.async_queue = std::atoi(argv[++i]);
+      cfg.async_queue = flag_arg<int>(argv, i);
     } else if (flag == "--async-batch" && i + 1 < argc) {
-      cfg.async_batch = std::atoi(argv[++i]);
+      cfg.async_batch = flag_arg<int>(argv, i);
     } else if (flag == "--checkpoint-dir" && i + 1 < argc) {
       cfg.checkpoint_dir = argv[++i];
     } else if (flag == "--checkpoint-every" && i + 1 < argc) {
-      cfg.checkpoint_every = std::atoi(argv[++i]);
+      cfg.checkpoint_every = flag_arg<int>(argv, i);
     } else if (flag == "--checkpoint-retain" && i + 1 < argc) {
-      cfg.checkpoint_retain = std::atoi(argv[++i]);
+      cfg.checkpoint_retain = flag_arg<int>(argv, i);
     } else if (flag == "--resume") {
       cfg.resume = true;
     } else if (flag == "--metrics-out" && i + 1 < argc) {
@@ -231,12 +257,13 @@ int cmd_train(int argc, char** argv) {
 int cmd_evaluate(int argc, char** argv) {
   if (argc < 8) return usage();
   const auto app = core::parse_app(argv[2]);
-  const auto graph = core::make_graph(app, std::atoi(argv[3]));
+  const auto graph = core::make_graph(app, num_arg<int>("<tiles>", argv[3]));
   const auto platform =
-      sim::Platform::hybrid(std::atoi(argv[4]), std::atoi(argv[5]));
+      sim::Platform::hybrid(num_arg<int>("<ncpu>", argv[4]),
+                            num_arg<int>("<ngpu>", argv[5]));
   const auto costs = core::make_costs(app);
-  const double sigma = std::atof(argv[6]);
-  const int runs = argc > 8 ? std::atoi(argv[8]) : 5;
+  const double sigma = num_arg<double>("<sigma>", argv[6]);
+  const int runs = argc > 8 ? num_arg<int>("[runs]", argv[8]) : 5;
 
   rl::ReadysAgent agent(graph.num_kernel_types(), rl::AgentConfig{});
   agent.load(argv[7]);
@@ -253,12 +280,13 @@ int cmd_evaluate(int argc, char** argv) {
 int cmd_compare(int argc, char** argv) {
   if (argc < 7) return usage();
   const auto app = core::parse_app(argv[2]);
-  const auto graph = core::make_graph(app, std::atoi(argv[3]));
+  const auto graph = core::make_graph(app, num_arg<int>("<tiles>", argv[3]));
   const auto platform =
-      sim::Platform::hybrid(std::atoi(argv[4]), std::atoi(argv[5]));
+      sim::Platform::hybrid(num_arg<int>("<ncpu>", argv[4]),
+                            num_arg<int>("<ngpu>", argv[5]));
   const auto costs = core::make_costs(app);
-  const double sigma = std::atof(argv[6]);
-  const int runs = argc > 7 ? std::atoi(argv[7]) : 10;
+  const double sigma = num_arg<double>("<sigma>", argv[6]);
+  const int runs = argc > 7 ? num_arg<int>("[runs]", argv[7]) : 10;
 
   util::ThreadPool pool;
   util::Table table({"scheduler", "mean (ms)", "ci95", "min", "max"});
@@ -280,13 +308,14 @@ int cmd_compare(int argc, char** argv) {
 int cmd_gantt(int argc, char** argv) {
   if (argc < 7) return usage();
   const auto app = core::parse_app(argv[2]);
-  const auto graph = core::make_graph(app, std::atoi(argv[3]));
+  const auto graph = core::make_graph(app, num_arg<int>("<tiles>", argv[3]));
   const auto platform =
-      sim::Platform::hybrid(std::atoi(argv[4]), std::atoi(argv[5]));
+      sim::Platform::hybrid(num_arg<int>("<ncpu>", argv[4]),
+                            num_arg<int>("<ngpu>", argv[5]));
   const auto costs = core::make_costs(app);
   // Throws with the list of registered names on an unknown scheduler.
   auto scheduler = sched::make_scheduler(argv[6]);
-  const double sigma = argc > 7 ? std::atof(argv[7]) : 0.0;
+  const double sigma = argc > 7 ? num_arg<double>("[sigma]", argv[7]) : 0.0;
 
   sim::Simulator sim(graph, platform, costs, {sigma, 42});
   const auto result = sim.run(*scheduler);
@@ -300,7 +329,7 @@ int cmd_gantt(int argc, char** argv) {
 int cmd_dot(int argc, char** argv) {
   if (argc < 5) return usage();
   const auto app = core::parse_app(argv[2]);
-  const auto graph = core::make_graph(app, std::atoi(argv[3]));
+  const auto graph = core::make_graph(app, num_arg<int>("<tiles>", argv[3]));
   dag::write_dot(graph, argv[4]);
   std::printf("%s (%zu tasks, %zu edges) -> %s\n", graph.name().c_str(),
               graph.num_tasks(), graph.num_edges(), argv[4]);
@@ -336,33 +365,33 @@ int cmd_serve_bench(int argc, char** argv) {
   for (; i < argc; ++i) {
     const std::string flag = argv[i];
     if (flag == "--sessions" && i + 1 < argc) {
-      cfg.serve_sessions = std::atoi(argv[++i]);
+      cfg.serve_sessions = flag_arg<int>(argv, i);
     } else if (flag == "--rate" && i + 1 < argc) {
-      cfg.serve_rate = std::atof(argv[++i]);
+      cfg.serve_rate = flag_arg<double>(argv, i);
     } else if (flag == "--queue" && i + 1 < argc) {
-      cfg.serve_queue = std::atoi(argv[++i]);
+      cfg.serve_queue = flag_arg<int>(argv, i);
     } else if (flag == "--active" && i + 1 < argc) {
-      cfg.serve_active = std::atoi(argv[++i]);
+      cfg.serve_active = flag_arg<int>(argv, i);
     } else if (flag == "--workers" && i + 1 < argc) {
-      cfg.serve_workers = std::atoi(argv[++i]);
+      cfg.serve_workers = flag_arg<int>(argv, i);
     } else if (flag == "--deadline-us" && i + 1 < argc) {
-      cfg.serve_deadline_us = std::atof(argv[++i]);
+      cfg.serve_deadline_us = flag_arg<double>(argv, i);
     } else if (flag == "--retries" && i + 1 < argc) {
-      cfg.serve_retries = std::atoi(argv[++i]);
+      cfg.serve_retries = flag_arg<int>(argv, i);
     } else if (flag == "--backend" && i + 1 < argc) {
       cfg.inference_backend = argv[++i];
     } else if (flag == "--arrival" && i + 1 < argc) {
       cfg.serve_arrival = argv[++i];
     } else if (flag == "--burst-factor" && i + 1 < argc) {
-      cfg.serve_burst_factor = std::atof(argv[++i]);
+      cfg.serve_burst_factor = flag_arg<double>(argv, i);
     } else if (flag == "--pareto-alpha" && i + 1 < argc) {
-      cfg.serve_pareto_alpha = std::atof(argv[++i]);
+      cfg.serve_pareto_alpha = flag_arg<double>(argv, i);
     } else if (flag == "--tenant-rate" && i + 1 < argc) {
-      cfg.serve_tenant_rate = std::atof(argv[++i]);
+      cfg.serve_tenant_rate = flag_arg<double>(argv, i);
     } else if (flag == "--tenant-burst" && i + 1 < argc) {
-      cfg.serve_tenant_burst = std::atof(argv[++i]);
+      cfg.serve_tenant_burst = flag_arg<double>(argv, i);
     } else if (flag == "--restart-budget" && i + 1 < argc) {
-      cfg.serve_restart_budget = std::atoi(argv[++i]);
+      cfg.serve_restart_budget = flag_arg<int>(argv, i);
     } else if (flag == "--reload-watch" && i + 1 < argc) {
       cfg.serve_reload_watch = argv[++i];
     } else {
@@ -500,33 +529,33 @@ int cmd_cluster_bench(int argc, char** argv) {
     if (flag == "--app" && i + 1 < argc) {
       cfg.app = argv[++i];
     } else if (flag == "--tiles" && i + 1 < argc) {
-      cfg.tiles = std::atoi(argv[++i]);
+      cfg.tiles = flag_arg<int>(argv, i);
     } else if (flag == "--ncpu" && i + 1 < argc) {
-      cfg.ncpu = std::atoi(argv[++i]);
+      cfg.ncpu = flag_arg<int>(argv, i);
     } else if (flag == "--ngpu" && i + 1 < argc) {
-      cfg.ngpu = std::atoi(argv[++i]);
+      cfg.ngpu = flag_arg<int>(argv, i);
     } else if (flag == "--sigma" && i + 1 < argc) {
-      cfg.sigma = std::atof(argv[++i]);
+      cfg.sigma = flag_arg<double>(argv, i);
     } else if (flag == "--scheduler" && i + 1 < argc) {
       cfg.scheduler = argv[++i];
     } else if (flag == "--runs" && i + 1 < argc) {
-      runs = std::atoi(argv[++i]);
+      runs = flag_arg<int>(argv, i);
     } else if (flag == "--seed" && i + 1 < argc) {
-      cfg.seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
+      cfg.seed = flag_arg<std::uint64_t>(argv, i);
     } else if (flag == "--shards" && i + 1 < argc) {
-      cfg.cluster_shards = std::atoi(argv[++i]);
+      cfg.cluster_shards = flag_arg<int>(argv, i);
     } else if (flag == "--stale-ms" && i + 1 < argc) {
-      cfg.cluster_stale_ms = std::atof(argv[++i]);
+      cfg.cluster_stale_ms = flag_arg<double>(argv, i);
     } else if (flag == "--hb-ms" && i + 1 < argc) {
-      cfg.cluster_hb_ms = std::atof(argv[++i]);
+      cfg.cluster_hb_ms = flag_arg<double>(argv, i);
     } else if (flag == "--parallel" && i + 1 < argc) {
-      cfg.cluster_parallel = std::atoi(argv[++i]);
+      cfg.cluster_parallel = flag_arg<int>(argv, i);
     } else if (flag == "--comm-tile-bytes" && i + 1 < argc) {
-      cfg.comm_tile_bytes = std::atof(argv[++i]);
+      cfg.comm_tile_bytes = flag_arg<double>(argv, i);
     } else if (flag == "--comm-bandwidth" && i + 1 < argc) {
-      cfg.comm_bandwidth = std::atof(argv[++i]);
+      cfg.comm_bandwidth = flag_arg<double>(argv, i);
     } else if (flag == "--comm-latency-ms" && i + 1 < argc) {
-      cfg.comm_latency_ms = std::atof(argv[++i]);
+      cfg.comm_latency_ms = flag_arg<double>(argv, i);
     } else if (flag == "--backend" && i + 1 < argc) {
       cfg.inference_backend = argv[++i];
     } else {
@@ -574,12 +603,11 @@ int cmd_cluster_bench(int argc, char** argv) {
     sc.seed = cfg.seed + static_cast<std::uint64_t>(run);
     auto scheduler = sched::make_scheduler(spec, sc);
     sched_name = scheduler->name();
-    cluster::ClusterSimulator::Options opt;
+    sim::Simulator::Options opt;
     opt.sigma = cfg.sigma;
     opt.seed = cfg.seed + static_cast<std::uint64_t>(run);
-    opt.shards = cfg.cluster_shards;
     if (cfg.has_comm()) opt.comm = cfg.make_comm();
-    cluster::ClusterSimulator sim(graph, platform, costs, opt);
+    sim::Simulator sim(graph, platform, costs, opt);
     const auto r = sim.run(*scheduler);
     mks.push_back(r.makespan);
     tasks_done += r.trace.size();
@@ -621,6 +649,9 @@ int main(int argc, char** argv) {
     if (cmd == "dot") return cmd_dot(argc, argv);
     if (cmd == "serve-bench") return cmd_serve_bench(argc, argv);
     if (cmd == "cluster-bench") return cmd_cluster_bench(argc, argv);
+  } catch (const BadArgument& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return usage();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

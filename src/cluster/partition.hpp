@@ -8,8 +8,8 @@ namespace readys::cluster {
 
 /// Static assignment of a platform's resources to K shards. Both lookup
 /// directions are materialized: `shard_of` answers "which shard owns
-/// resource r" in O(1) (the sharded engine routes every event through
-/// it), `members` hands each shard its ascending resource list (what a
+/// resource r" in O(1) (the shard scheduler routes ownership and
+/// proposals through it), `members` hands each shard its ascending resource list (what a
 /// shard-scoped EngineView publishes as its visible resources).
 struct Partition {
   int num_shards = 1;

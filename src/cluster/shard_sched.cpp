@@ -44,30 +44,20 @@ bool ShardScheduler::shard_believed_alive(int s) const {
 void ShardScheduler::bind_scoped_states() {
   for (Shard& shard : shards_) {
     sim::EngineState& st = shard.state;
-    st.graph = &base_view_->graph();
-    st.platform = &base_view_->platform();
-    st.costs = &base_view_->costs();
-    st.comm = base_view_->comm_model();
     st.resources = &shard.members;
     st.ready = &shard.ready;
     st.ready_log = &shard.ready_log;
     st.running = &shard.running;
-    // in_ready stays null so is_ready() delegates to the base view:
-    // readiness is a global DAG fact, and a guard wrapped around the
-    // inner (guarded:<inner>) must not count a stolen-away task — which
-    // is still genuinely ready — as an inner failure. Ownership is
-    // enforced by the coordinator's own drop check instead.
-    st.in_ready = nullptr;
     st.up = &shard.up;
     st.avail = &shard.avail;
-    // done / producer_of / resource_task / duration_table stay null:
-    // they are global facts and delegate to the full base view.
-    st.done = nullptr;
-    st.producer_of = nullptr;
-    st.resource_task = nullptr;
-    st.expected_finish = nullptr;
-    st.speed = nullptr;
-    st.duration_table = nullptr;
+    // Global facts — readiness included — answer through the base view:
+    // a guard wrapped around the inner (guarded:<inner>) must not count
+    // a stolen-away task, which is still genuinely ready, as an inner
+    // failure. Ownership is enforced by the coordinator's own drop
+    // check instead.
+    st.graph = &base_view_->graph();
+    st.platform = &base_view_->platform();
+    st.costs = &base_view_->costs();
     st.base = &*base_view_;
   }
 }

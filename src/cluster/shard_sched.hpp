@@ -48,9 +48,9 @@ namespace readys::cluster {
 ///      liveness with a one-shot full-view MCT decision (counted in
 ///      cluster.rescue_fallbacks) instead of stalling the simulator.
 ///
-/// Works under both sim::Simulator (engine-backed views) and
-/// ClusterSimulator (table-backed views); pair shards here with the
-/// engine's shard count to make the per-shard scans line up.
+/// Runs under the plain sim::Simulator: the scoped views are built over
+/// whatever base view decide() is handed, so decisions are decentralized
+/// while the simulation itself stays one engine.
 class ShardScheduler : public sim::Scheduler {
  public:
   struct Options {

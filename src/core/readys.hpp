@@ -18,12 +18,10 @@
 ///                                      /*sigma=*/0.2, /*seed=*/42);
 /// \endcode
 
-#include "cluster/cluster_sim.hpp"
 #include "cluster/heartbeat.hpp"
 #include "cluster/partition.hpp"
 #include "cluster/register.hpp"
 #include "cluster/shard_sched.hpp"
-#include "cluster/sharded_engine.hpp"
 #include "core/apps.hpp"
 #include "core/evaluation.hpp"
 #include "core/run_config.hpp"
@@ -76,6 +74,7 @@
 #include "tensor/tensor.hpp"
 #include "util/csv.hpp"
 #include "util/env.hpp"
+#include "util/parse.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"

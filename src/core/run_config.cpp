@@ -1,6 +1,7 @@
 #include "core/run_config.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <climits>
 #include <cmath>
 #include <cstdlib>
@@ -96,12 +97,19 @@ class JsonReader {
     }
   }
 
+  /// Decimal literal via std::from_chars (general format: no hex, inf
+  /// or nan spellings); out-of-range and non-finite values are errors.
   double parse_number() {
     skip_ws();
-    const char* begin = s_.c_str() + pos_;
-    char* end = nullptr;
-    const double v = std::strtod(begin, &end);
+    const char* begin = s_.data() + pos_;
+    double v = 0.0;
+    const auto [end, ec] =
+        std::from_chars(begin, s_.data() + s_.size(), v,
+                        std::chars_format::general);
     if (end == begin) fail("expected a number");
+    if (ec != std::errc() || !std::isfinite(v)) {
+      fail("number out of range or not finite");
+    }
     pos_ += static_cast<std::size_t>(end - begin);
     return v;
   }

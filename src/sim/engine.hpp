@@ -200,10 +200,6 @@ class SimEngine {
   const std::vector<ResourceId>& producer_of() const noexcept {
     return producer_of_;
   }
-  /// Flattened (kernel x resource) expected-duration table, row-major.
-  const std::vector<double>& duration_table() const noexcept {
-    return duration_table_;
-  }
   /// The engine's communication model, or nullptr without one.
   const CommModel* comm_model() const noexcept {
     return comm_ ? &*comm_ : nullptr;

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <stdexcept>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -8,23 +9,17 @@ namespace readys::sim {
 
 class EngineView;
 
-/// Raw observable-state tables backing an EngineView when the state does
-/// not come from a live SimEngine — the cluster layer's ShardedEngine
-/// publishes one of these over its own members, and shard-scoped views
-/// override a subset of the tables (local ready set, masked resource
-/// availability) while delegating the rest to the full view via `base`.
+/// Shard-scoped observable state behind an EngineView: the cluster
+/// layer's ShardScheduler publishes one per shard. It holds only what
+/// makes a view *scoped* — the shard's resources, its owned ready set,
+/// its running list, and liveness/availability masked to its members —
+/// plus the static context copied from `base`, and answers every other
+/// global fact (comm model, readiness, completion, producers,
+/// durations) through `base`.
 ///
-/// Pointer fields marked *required* must be set on every state; fields
-/// marked *optional* may stay null, in which case the corresponding
-/// accessor forwards to `base` (which must then be non-null and valid).
-/// All pointers are non-owning and must outlive the views built on top.
+/// Every pointer is required, non-owning, and must outlive the views
+/// built on top.
 struct EngineState {
-  // Static context — required.
-  const dag::TaskGraph* graph = nullptr;
-  const Platform* platform = nullptr;
-  const CostModel* costs = nullptr;
-  const CommModel* comm = nullptr;  ///< null = no communication model
-
   // Scalars, refreshed by the owner before handing out views.
   double now = 0.0;
   bool fault_enabled = false;
@@ -33,33 +28,24 @@ struct EngineState {
   /// illegal when nothing runs anywhere) is a whole-platform property.
   bool any_running = false;
 
-  // Required collections.
   const std::vector<ResourceId>* resources = nullptr;  ///< visible, ascending
   const std::vector<dag::TaskId>* ready = nullptr;     ///< ascending ids
   const std::vector<dag::TaskId>* ready_log = nullptr; ///< append-only
   const std::vector<RunningInfo>* running = nullptr;   ///< start order
   const std::vector<std::uint8_t>* up = nullptr;       ///< per resource
-
-  // Optional tables (null -> delegate to base).
-  /// Readiness is a DAG fact, not an ownership fact: a shard-scoped view
-  /// leaves this null so is_ready() answers globally even for tasks the
-  /// shard does not own (its ready() list stays scoped). Full table-backed
-  /// states must set it.
-  const std::vector<std::uint8_t>* in_ready = nullptr;    ///< per task
-  const std::vector<std::uint8_t>* done = nullptr;        ///< per task
-  const std::vector<ResourceId>* producer_of = nullptr;   ///< per task
-  const std::vector<dag::TaskId>* resource_task = nullptr;///< per resource
-  /// Resolved availability: max(now, expected finish), +inf down. Scoped
-  /// views precompute this; set either `avail` or `expected_finish`.
+  /// Resolved availability per resource: max(now, expected finish),
+  /// +inf when down or outside the scope.
   const std::vector<double>* avail = nullptr;
-  /// Engine-internal promised-finish table (NaN = idle); the view applies
-  /// the up/now clamping and corruption checks itself.
-  const std::vector<double>* expected_finish = nullptr;
-  const std::vector<double>* speed = nullptr;           ///< per resource
-  const std::vector<double>* duration_table = nullptr;  ///< kernel x P
 
-  /// Delegation target for null optional fields. At most one level deep:
-  /// a scoped view's base is always a full (engine- or table-backed) view.
+  /// Static context, the same objects `base` returns. Held directly:
+  /// reaching them through `base` measured slower on the cluster
+  /// benchmark workload.
+  const dag::TaskGraph* graph = nullptr;
+  const Platform* platform = nullptr;
+  const CostModel* costs = nullptr;
+
+  /// The full view global facts come from (engine-backed, or another
+  /// scoped view when shard families nest).
   const EngineView* base = nullptr;
 };
 
@@ -69,16 +55,22 @@ struct EngineState {
 /// per second and every accessor is one predictable branch between the
 /// two backends. Engine-backed views convert implicitly from SimEngine
 /// so call sites (`scheduler.decide(engine)`) stay source-compatible;
-/// table-backed views let the cluster layer present sharded or partial
-/// state through the same interface without SimEngine inheriting
-/// anything.
+/// shard-scoped views (EngineState) let the cluster layer present one
+/// shard's part of the platform through the same interface without
+/// SimEngine inheriting anything.
 ///
 /// Views are cheap value types (two pointers); they do not own state and
 /// must not outlive the engine or EngineState they wrap.
 class EngineView {
  public:
   /*implicit*/ EngineView(const SimEngine& engine) : engine_(&engine) {}
-  explicit EngineView(const EngineState& state) : state_(&state) {}
+  /// Throws std::invalid_argument if `state.base` is null.
+  explicit EngineView(const EngineState& state) : state_(&state) {
+    if (state.base == nullptr) {
+      throw std::invalid_argument(
+          "EngineView: a scoped EngineState needs a base view");
+    }
+  }
 
   double now() const noexcept {
     return engine_ ? engine_->now() : state_->now;
@@ -113,10 +105,11 @@ class EngineView {
     return engine_ ? engine_->any_running() : state_->any_running;
   }
 
+  /// Readiness is a DAG fact, not an ownership fact: a scoped view
+  /// answers globally even for tasks its shard does not own (its
+  /// ready() list stays scoped).
   bool is_ready(dag::TaskId t) const noexcept {
-    if (engine_) return engine_->is_ready(t);
-    if (!state_->in_ready) return state_->base->is_ready(t);
-    return t < state_->in_ready->size() && (*state_->in_ready)[t] != 0;
+    return engine_ ? engine_->is_ready(t) : state_->base->is_ready(t);
   }
   bool is_up(ResourceId r) const {
     if (engine_) return engine_->is_up(r);
@@ -128,61 +121,49 @@ class EngineView {
            running_on(r) == dag::kInvalidTask;
   }
   bool is_done(dag::TaskId t) const {
-    if (engine_) return engine_->is_done(t);
-    if (state_->done) return (*state_->done)[t] != 0;
-    return state_->base->is_done(t);
+    return engine_ ? engine_->is_done(t) : state_->base->is_done(t);
   }
   dag::TaskId running_on(ResourceId r) const {
-    if (engine_) return engine_->running_on(r);
-    if (state_->resource_task) {
-      return (*state_->resource_task)[static_cast<std::size_t>(r)];
-    }
-    return state_->base->running_on(r);
+    return engine_ ? engine_->running_on(r) : state_->base->running_on(r);
   }
   /// Resource that produced t's output, or -1 while t is incomplete.
   ResourceId producer_of(dag::TaskId t) const {
-    if (engine_) return engine_->producer_of()[t];
-    if (state_->producer_of) return (*state_->producer_of)[t];
-    return state_->base->producer_of(t);
+    return engine_ ? engine_->producer_of()[t] : state_->base->producer_of(t);
   }
 
   bool fault_enabled() const noexcept {
     return engine_ ? engine_->fault_enabled() : state_->fault_enabled;
   }
   bool has_comm_model() const noexcept {
-    return engine_ ? engine_->has_comm_model() : state_->comm != nullptr;
+    return engine_ ? engine_->has_comm_model()
+                   : state_->base->has_comm_model();
   }
-  /// The communication model behind this view, or nullptr. Lets a
-  /// derived (shard-scoped) EngineState re-reference the same model.
+  /// The communication model behind this view, or nullptr.
   const CommModel* comm_model() const noexcept {
-    return engine_ ? engine_->comm_model() : state_->comm;
+    return engine_ ? engine_->comm_model() : state_->base->comm_model();
   }
 
   double expected_duration(dag::TaskId t, ResourceId r) const {
-    if (engine_) return engine_->expected_duration(t, r);
-    if (state_->duration_table) {
-      const double d =
-          (*state_->duration_table)
-              [static_cast<std::size_t>(state_->graph->kernel(t)) *
-                   static_cast<std::size_t>(state_->platform->size()) +
-               static_cast<std::size_t>(r)];
-      return state_->fault_enabled
-                 ? d * (*state_->speed)[static_cast<std::size_t>(r)]
-                 : d;
-    }
-    return state_->base->expected_duration(t, r);
+    return engine_ ? engine_->expected_duration(t, r)
+                   : state_->base->expected_duration(t, r);
   }
 
   /// Visible idle resources, ascending (scoped views report only their
   /// own shard's). Materializes a vector like SimEngine::idle_resources.
   std::vector<ResourceId> idle_resources() const;
 
-  /// See SimEngine::expected_available_at — same semantics, including
-  /// the state-corruption checks when backed by a promised-finish table.
-  double expected_available_at(ResourceId r) const;
+  /// See SimEngine::expected_available_at; a scoped view reads its
+  /// resolved `avail` table.
+  double expected_available_at(ResourceId r) const {
+    if (engine_) return engine_->expected_available_at(r);
+    return (*state_->avail)[static_cast<std::size_t>(r)];
+  }
 
   /// See SimEngine::expected_input_delay; 0 without a comm model.
-  double expected_input_delay(dag::TaskId t, ResourceId r) const;
+  double expected_input_delay(dag::TaskId t, ResourceId r) const {
+    return engine_ ? engine_->expected_input_delay(t, r)
+                   : state_->base->expected_input_delay(t, r);
+  }
 
  private:
   const SimEngine* engine_ = nullptr;

@@ -1,34 +1,34 @@
 // Property suite for the decentralized shard scheduler: task
 // conservation under steal interleavings, heartbeat state-machine
-// validity, bounded staleness of the cross-shard directory, shard-trace
-// merge validity, and the registry surface of the "shard:<inner>"
-// family. Style follows the mapf-het-inspired invariant tests in
-// tests/test_schedulers_property.cpp: run real episodes, then assert
-// invariants that must hold under EVERY interleaving rather than pinning
-// one specific schedule.
+// validity, bounded staleness of the cross-shard directory, the
+// resource partition and scoped views it decides over, and the registry
+// surface of the "shard:<inner>" family. Style follows the
+// mapf-het-inspired invariant tests in tests/test_schedulers_property.cpp:
+// run real episodes, then assert invariants that must hold under EVERY
+// interleaving rather than pinning one specific schedule.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <vector>
 
-#include "cluster/cluster_sim.hpp"
 #include "cluster/heartbeat.hpp"
+#include "cluster/partition.hpp"
 #include "cluster/register.hpp"
 #include "cluster/shard_sched.hpp"
 #include "dag/cholesky.hpp"
-#include "dag/random_dag.hpp"
 #include "sched/guarded.hpp"
 #include "sched/mct.hpp"
 #include "sched/scheduler.hpp"
+#include "sim/engine_view.hpp"
 #include "sim/simulator.hpp"
 
 namespace rc = readys::cluster;
 namespace rd = readys::dag;
 namespace rs = readys::sim;
 namespace rx = readys::sched;
-namespace ru = readys::util;
 
 namespace {
 
@@ -80,11 +80,7 @@ TEST(ClusterSched, TaskConservationUnderStealInterleavings) {
     opts.shards = 4;
     opts.stale_ms = 5.0;
     auto sched = make_shard_mct(opts);
-    rc::ClusterSimulator::Options opt;
-    opt.sigma = 0.1;
-    opt.seed = seed;
-    opt.shards = 4;
-    rc::ClusterSimulator sim(graph, platform, costs, opt);
+    rs::Simulator sim(graph, platform, costs, {0.1, seed});
     const auto r = sim.run(*sched);
     EXPECT_EQ(r.trace.validate(graph, platform), "");
     EXPECT_EQ(r.trace.size(), graph.num_tasks());
@@ -118,11 +114,7 @@ TEST(ClusterSched, GuardedInnersSurviveStealInterleavings) {
   rc::ShardScheduler::Options opts;
   opts.shards = 4;
   rc::ShardScheduler sched(std::move(inners), opts, "guarded:mct");
-  rc::ClusterSimulator::Options opt;
-  opt.sigma = 0.1;
-  opt.seed = 5;
-  opt.shards = 4;
-  rc::ClusterSimulator sim(graph, platform, costs, opt);
+  rs::Simulator sim(graph, platform, costs, {0.1, 5});
   const auto r = sim.run(sched);
   EXPECT_EQ(r.trace.validate(graph, platform), "");
   EXPECT_GT(sched.steals(), 0u) << "workload was built to force steals";
@@ -140,10 +132,7 @@ TEST(ClusterSched, StealingDisabledStillCompletesViaRescue) {
   opts.shards = 4;
   opts.steal = false;
   auto sched = make_shard_mct(opts);
-  rc::ClusterSimulator::Options opt;
-  opt.seed = 3;
-  opt.shards = 4;
-  rc::ClusterSimulator sim(graph, platform, costs, opt);
+  rs::Simulator sim(graph, platform, costs, {0.0, 3});
   const auto r = sim.run(*sched);
   EXPECT_EQ(r.trace.validate(graph, platform), "");
   EXPECT_EQ(sched->steals(), 0u);
@@ -167,12 +156,11 @@ TEST(ClusterSched, HeartbeatTransitionValidityUnderFaults) {
   opts.hb_suspect = 2;
   opts.hb_dead = 4;
   auto sched = make_shard_mct(opts);
-  rc::ClusterSimulator::Options opt;
+  rs::Simulator::Options opt;
   opt.sigma = 0.1;
   opt.seed = 17;
-  opt.shards = 3;
   opt.faults = faults;
-  rc::ClusterSimulator sim(graph, platform, costs, opt);
+  rs::Simulator sim(graph, platform, costs, opt);
   const auto r = sim.run(*sched);
   EXPECT_EQ(r.trace.size(), graph.num_tasks());
   const auto& m = sched->heartbeat().transition_counts();
@@ -235,44 +223,14 @@ TEST(ClusterSched, DirectoryStalenessIsBoundedAndMonotone) {
     opts.stale_ms = stale;
     auto sched = make_shard_mct(opts);
     StaleProbe probe(*sched);
-    rc::ClusterSimulator::Options opt;
-    opt.sigma = 0.1;
-    opt.seed = 2;
-    opt.shards = 4;
-    rc::ClusterSimulator sim(graph, platform, costs, opt);
+    rs::Simulator sim(graph, platform, costs, {0.1, 2});
     const auto r = sim.run(probe);
     EXPECT_EQ(r.trace.validate(graph, platform), "");
   }
 }
 
-// The per-shard sub-traces of a sharded run merge back into a valid
-// global schedule: same multiset of entries as the global trace, and
-// the merge itself passes Trace::validate.
-TEST(ClusterSched, ShardTracesMergeIntoValidGlobalTrace) {
-  ru::Rng rng(33);
-  const auto graph = rd::random_layered_dag({8, 12, 0.3, 4, true}, rng);
-  const auto costs = rs::CostModel::cholesky();
-  const auto platform = rs::Platform::hybrid(8, 8);
-  rc::ShardScheduler::Options opts;
-  opts.shards = 4;
-  auto sched = make_shard_mct(opts);
-  rc::ClusterSimulator::Options opt;
-  opt.sigma = 0.1;
-  opt.seed = 13;
-  opt.shards = 4;
-  rc::ClusterSimulator sim(graph, platform, costs, opt);
-  const auto r = sim.run(*sched);
-  rs::Trace merged;
-  for (const auto& st : r.shard_traces) {
-    for (const auto& e : st.entries()) merged.add(e);
-  }
-  EXPECT_EQ(merged.size(), r.trace.size());
-  EXPECT_EQ(merged.validate(graph, platform), "");
-  EXPECT_DOUBLE_EQ(merged.makespan(), r.makespan);
-}
-
-// The coordinator also runs under the plain (non-sharded) Simulator:
-// engine-backed views go through the exact same scoping machinery.
+// The coordinator's scoped views sit directly on the plain Simulator's
+// engine-backed view: a default-option run completes with a valid trace.
 TEST(ClusterSched, RunsUnderPlainSimulator) {
   const auto graph = rd::cholesky_graph(8);
   const auto costs = rs::CostModel::cholesky();
@@ -299,12 +257,9 @@ TEST(ClusterSched, ParallelDecideMatchesSerial) {
   par_opts.parallel = 4;
   auto parallel = make_shard_mct(par_opts);
   for (const std::uint64_t seed : {1ull, 7ull}) {
-    rc::ClusterSimulator::Options opt;
-    opt.sigma = 0.1;
-    opt.seed = seed;
-    opt.shards = 4;
-    rc::ClusterSimulator sim_a(graph, platform, costs, opt);
-    rc::ClusterSimulator sim_b(graph, platform, costs, opt);
+    const rs::Simulator::Options opt{0.1, seed};
+    rs::Simulator sim_a(graph, platform, costs, opt);
+    rs::Simulator sim_b(graph, platform, costs, opt);
     const auto ra = sim_a.run(*serial);
     const auto rb = sim_b.run(*parallel);
     ASSERT_DOUBLE_EQ(ra.makespan, rb.makespan) << "seed=" << seed;
@@ -315,6 +270,125 @@ TEST(ClusterSched, ParallelDecideMatchesSerial) {
                 rb.trace.entries()[i].resource);
     }
   }
+}
+
+TEST(ClusterSched, PartitionKeepsShardsHeterogeneous) {
+  const auto platform = rs::Platform::hybrid(8, 4);
+  const auto part = rc::Partition::by_type_round_robin(platform, 4);
+  ASSERT_EQ(part.members.size(), 4u);
+  for (int s = 0; s < 4; ++s) {
+    int cpus = 0;
+    int gpus = 0;
+    for (const rs::ResourceId r : part.members[static_cast<std::size_t>(s)]) {
+      EXPECT_EQ(part.shard(r), s);
+      (platform.type(r) == rs::ResourceType::kCpu ? cpus : gpus)++;
+    }
+    EXPECT_EQ(cpus, 2);  // 8 CPUs round-robined over 4 shards
+    EXPECT_EQ(gpus, 1);  // 4 GPUs round-robined over 4 shards
+    // Ascending member lists, as the scoped views require.
+    const auto& m = part.members[static_cast<std::size_t>(s)];
+    for (std::size_t i = 1; i < m.size(); ++i) EXPECT_LT(m[i - 1], m[i]);
+  }
+  EXPECT_THROW(rc::Partition::by_type_round_robin(platform, 0),
+               std::invalid_argument);
+  EXPECT_THROW(rc::Partition::by_type_round_robin(platform, 13),
+               std::invalid_argument);
+}
+
+// A shard-scoped view over a live SimEngine, built by hand the way the
+// coordinator builds one: the tables that make it scoped come from the
+// EngineState, and every global fact answers through the base view.
+TEST(ClusterSched, ScopedViewOverLiveEngineScopesTablesAndDelegatesFacts) {
+  const auto graph = rd::cholesky_graph(4);
+  const auto costs = rs::CostModel::cholesky();
+  const auto platform = rs::Platform::hybrid(2, 2);
+  rs::SimEngine engine(graph, platform, costs, 0.0, 1);
+  const rs::EngineView base(engine);
+
+  // The source runs out of scope (resource 1); its successors become
+  // ready, and one starts in scope (0) while another starts out of it (3).
+  const rd::TaskId src = engine.ready().front();
+  engine.start(src, 1);
+  ASSERT_TRUE(engine.advance());
+  const std::vector<rd::TaskId> wave = engine.ready();
+  ASSERT_GE(wave.size(), 3u);
+  engine.start(wave[0], 0);
+  engine.start(wave[1], 3);
+
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::vector<rs::ResourceId> members = {0, 2};
+  const std::vector<rd::TaskId> owned;  // the shard owns no ready task
+  const std::vector<rd::TaskId> log;
+  std::vector<rs::RunningInfo> running;
+  for (const rs::RunningInfo& info : engine.running()) {
+    if (info.resource == 0 || info.resource == 2) running.push_back(info);
+  }
+  const std::vector<std::uint8_t> up = {1, 0, 1, 0};  // remote reads down
+  // A sentinel for resource 2 proves the view reads `avail`, not the
+  // engine (which would answer now()).
+  const std::vector<double> avail = {engine.expected_available_at(0), kInf,
+                                     42.5, kInf};
+  rs::EngineState st;
+  st.now = engine.now();
+  st.fault_enabled = true;
+  st.any_running = engine.any_running();
+  st.resources = &members;
+  st.ready = &owned;
+  st.ready_log = &log;
+  st.running = &running;
+  st.up = &up;
+  st.avail = &avail;
+  st.graph = &base.graph();
+  st.platform = &base.platform();
+  st.costs = &base.costs();
+  st.base = &base;
+  const rs::EngineView v(st);
+
+  // Scoped: resources, ready set, idle resources, liveness, running.
+  EXPECT_EQ(v.resources(), members);
+  EXPECT_TRUE(v.ready().empty());
+  EXPECT_FALSE(engine.ready().empty());
+  EXPECT_EQ(v.idle_resources(), std::vector<rs::ResourceId>{2});
+  EXPECT_FALSE(v.is_up(1));
+  EXPECT_TRUE(engine.is_up(1));
+  EXPECT_FALSE(v.is_idle(0));
+  EXPECT_TRUE(v.is_idle(2));
+  ASSERT_EQ(v.running().size(), 1u);
+  EXPECT_EQ(v.running().front().task, wave[0]);
+  EXPECT_DOUBLE_EQ(v.now(), engine.now());
+  EXPECT_TRUE(v.fault_enabled());
+  EXPECT_TRUE(v.any_running());
+
+  // Global through base: readiness of a task the shard does not own,
+  // what runs on a remote resource, producers, durations, completion.
+  EXPECT_TRUE(v.is_ready(wave[2]));
+  EXPECT_FALSE(v.is_ready(wave[0]));
+  EXPECT_EQ(v.running_on(0), wave[0]);
+  EXPECT_EQ(v.running_on(3), wave[1]);
+  EXPECT_EQ(v.producer_of(src), 1);
+  EXPECT_EQ(v.producer_of(wave[0]), -1);
+  EXPECT_TRUE(v.is_done(src));
+  EXPECT_FALSE(v.is_done(wave[0]));
+  for (const rs::ResourceId r : {0, 1, 2, 3}) {
+    EXPECT_DOUBLE_EQ(v.expected_duration(wave[2], r),
+                     engine.expected_duration(wave[2], r));
+    EXPECT_DOUBLE_EQ(v.expected_input_delay(wave[2], r), 0.0);
+  }
+  EXPECT_EQ(&v.graph(), &engine.graph());
+  EXPECT_EQ(&v.platform(), &engine.platform());
+  EXPECT_EQ(&v.costs(), &engine.costs());
+  EXPECT_EQ(v.has_comm_model(), engine.has_comm_model());
+
+  // Availability is the scoped table.
+  EXPECT_DOUBLE_EQ(v.expected_available_at(0), engine.expected_available_at(0));
+  EXPECT_GT(v.expected_available_at(0), engine.now());
+  EXPECT_DOUBLE_EQ(v.expected_available_at(2), 42.5);
+  EXPECT_DOUBLE_EQ(engine.expected_available_at(2), engine.now());
+
+  // A scoped state has no meaning without its base.
+  rs::EngineState orphan = st;
+  orphan.base = nullptr;
+  EXPECT_THROW(rs::EngineView{orphan}, std::invalid_argument);
 }
 
 TEST(ClusterSched, RegistrySurface) {
@@ -335,10 +409,7 @@ TEST(ClusterSched, RegistrySurface) {
   const auto costs = rs::CostModel::cholesky();
   const auto platform = rs::Platform::hybrid(2, 2);
   auto composed = reg.make("shard(shards=2):guarded:mct");
-  rc::ClusterSimulator::Options opt;
-  opt.seed = 1;
-  opt.shards = 2;
-  rc::ClusterSimulator sim(graph, platform, costs, opt);
+  rs::Simulator sim(graph, platform, costs, {0.0, 1});
   const auto r = sim.run(*composed);
   EXPECT_EQ(r.trace.validate(graph, platform), "");
 }

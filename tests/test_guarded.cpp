@@ -224,8 +224,10 @@ TEST(Guarded, NanPolicyCompletesEpisodeViaFallbackWithMetric) {
   const std::uint64_t before =
       ro::telemetry() ? ro::telemetry()->sched_fallbacks.total() : 0;
 
-  rx::GuardedScheduler sched(std::make_unique<rr::ReadysScheduler>(
-      agent.net(), cfg.window, /*greedy=*/true, /*seed=*/4));
+  rr::ReadysOptions opts;
+  opts.seed = 4;
+  rx::GuardedScheduler sched(
+      std::make_unique<rr::ReadysScheduler>(agent.net(), cfg.window, opts));
   rs::Simulator sim(g, p, rs::CostModel::cholesky(), {0.0, 1});
   const auto result = sim.run(sched);
 

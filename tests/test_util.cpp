@@ -11,6 +11,7 @@
 #include "util/csv.hpp"
 #include "util/env.hpp"
 #include "util/logging.hpp"
+#include "util/parse.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -233,6 +234,34 @@ TEST(Env, FallbacksAndParsing) {
   ::setenv("READYS_TEST_VAR", "garbage", 1);
   EXPECT_EQ(ru::env_int("READYS_TEST_VAR", 5), 5);
   ::unsetenv("READYS_TEST_VAR");
+}
+
+TEST(Parse, StrictNumbersAcceptWholeDecimalLiterals) {
+  EXPECT_EQ(ru::parse_number<int>("4"), 4);
+  EXPECT_EQ(ru::parse_number<int>("-17"), -17);
+  EXPECT_EQ(ru::parse_number<int>("2147483647"), 2147483647);
+  EXPECT_EQ(ru::parse_number<double>("0.25"), 0.25);
+  EXPECT_EQ(ru::parse_number<double>("-1e-3"), -1e-3);
+  EXPECT_EQ(ru::parse_number<double>("1E+06"), 1e6);
+  EXPECT_EQ(ru::parse_number<double>("7"), 7.0);
+  EXPECT_EQ(ru::parse_number<std::uint64_t>("18446744073709551615"),
+            18446744073709551615ull);
+}
+
+TEST(Parse, StrictNumbersRejectGarbageNonFiniteAndOutOfRange) {
+  for (const char* bad : {"", "4abc", "abc", " 4", "4 ", "+4", "0x10", "4.0",
+                          "2147483648", "-2147483649", "1e3"}) {
+    EXPECT_FALSE(ru::parse_number<int>(bad).has_value()) << "'" << bad << "'";
+  }
+  for (const char* bad : {"", "5x", "1e9999", "-1e9999", "inf", "-inf",
+                          "nan", "infinity", "0x10", "+1", " 1", "1.5.2"}) {
+    EXPECT_FALSE(ru::parse_number<double>(bad).has_value())
+        << "'" << bad << "'";
+  }
+  for (const char* bad : {"-1", "18446744073709551616", "1e3", "7 "}) {
+    EXPECT_FALSE(ru::parse_number<std::uint64_t>(bad).has_value())
+        << "'" << bad << "'";
+  }
 }
 
 TEST(Table, AlignedRendering) {

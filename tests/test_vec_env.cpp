@@ -636,6 +636,14 @@ TEST(RunConfig, StrictParsingRejectsMalformedDocuments) {
   // Plain malformed JSON.
   EXPECT_THROW(rc::RunConfig::from_json("{\"tiles\": }"),
                std::invalid_argument);
+  // Numbers are decimal and finite: no overflow to inf, no inf/nan or
+  // hex spellings.
+  for (const char* doc :
+       {"{\"serve_rate\": 1e9999}", "{\"sigma\": inf}",
+        "{\"comm_latency_ms\": 1e999}", "{\"cluster_hb_ms\": 0x10}"}) {
+    EXPECT_THROW(rc::RunConfig::from_json(doc), std::invalid_argument)
+        << doc;
+  }
 
   // validate() names bad cross-field values even when the JSON is fine.
   rc::RunConfig bad;
