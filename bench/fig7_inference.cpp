@@ -40,8 +40,7 @@ int main() {
 
   rl::AgentConfig cfg = default_agent_config(budget);
   cfg.window = window;
-  rl::PolicyNet net(rl::StateEncoder::node_feature_width(4),
-                    rl::StateEncoder::kResourceFeatureWidth, cfg);
+  rl::PolicyNet net(rl::node_feature_width(4), rl::kResourceFeatureWidth, cfg);
 
   std::printf("=== Figure 7: inference time vs window size (w=%d, hidden=%d,"
               " %d GCN layers) ===\n\n",

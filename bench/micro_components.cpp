@@ -121,11 +121,10 @@ void BM_PolicyForward(benchmark::State& state) {
   const auto p = sim::Platform::hybrid(2, 2);
   const auto c = sim::CostModel::cholesky();
   rl::AgentConfig cfg;
-  rl::PolicyNet net(rl::StateEncoder::node_feature_width(4),
-                    rl::StateEncoder::kResourceFeatureWidth, cfg);
+  rl::PolicyNet net(rl::node_feature_width(4), rl::kResourceFeatureWidth, cfg);
   sim::SimEngine engine(g, p, c, 0.0, 1);
-  rl::StateEncoder enc(g, c, cfg.window);
-  const auto obs = enc.encode(engine, 0);
+  rl::IncrementalEncoder enc(g, c, cfg.window);
+  const rl::Observation& obs = enc.encode(engine, 0, engine.any_running());
   for (auto _ : state) {
     benchmark::DoNotOptimize(net.forward(obs));
   }

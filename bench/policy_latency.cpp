@@ -1,17 +1,13 @@
 // Policy-latency baseline for the inference fast path (src/rl): times
 // every READYS decision — window encoding + policy forward + action
-// selection — across the 2x2 {backend} x {encoder} grid,
+// selection — for each inference backend,
 //
-//   f64ref  + full         the historical path (autograd forward over a
-//                          from-scratch StateEncoder::encode)
-//   f64ref  + incremental  bit-identical encoder reuse
-//   f32simd + full         float32 SIMD forward, from-scratch encoding
-//   f32simd + incremental  the fast path serve/cluster default to
+//   f64ref   autograd forward, bit-exact with training
+//   f32simd  float32 SIMD forward over CSR Â, the fast path
 //
 // and reports mean/p50/p95 microseconds per decision, policy forwards and
 // same-call output reuses per decision (ReadysScheduler::forwards and
-// offer_reuses), plus the headline speedup (f32simd+incremental vs
-// f64ref+full) into
+// offer_reuses), plus the backend speedup (f32simd vs f64ref mean) into
 // BENCH_policy_latency.json (+ sibling manifest). A second phase times
 // InferenceBackend::forward_batched against one-at-a-time forward() over
 // harvested observations, the serve batching tradeoff: 20 interleaved
@@ -19,8 +15,8 @@
 // interquartile range of the per-pass microseconds per decision.
 //
 // Decisions are timed in situ: a wrapper scheduler brackets decide()
-// under a live Simulator run, so incremental encoding sees the real
-// event stream (completions, ∅-declines) it is designed to exploit. The
+// under a live Simulator run, so the encoder sees the real event stream
+// (completions, ∅-declines) its reuse is designed to exploit. The
 // policy is an untrained seeded PolicyNet — latency does not depend on
 // policy quality. Knobs:
 //   READYS_TILES        Cholesky tile count (default 10)
@@ -81,7 +77,6 @@ class TimedScheduler final : public sim::Scheduler {
 struct Variant {
   std::string name;
   rl::InferenceBackendKind backend;
-  bool incremental = false;
   std::vector<double> us;      ///< per-decision latencies
   double mean_makespan = 0.0;  ///< sanity: policy behavior, not speed
   double forwards = 0.0;       ///< policy forwards per decision
@@ -113,8 +108,8 @@ int main() {
   agent.hidden = util::env_int("READYS_HIDDEN", 32);
   agent.window = window;
   agent.seed = seed;
-  rl::PolicyNet net(rl::StateEncoder::node_feature_width(4),
-                    rl::StateEncoder::kResourceFeatureWidth, agent);
+  rl::PolicyNet net(rl::node_feature_width(4),
+                    rl::kResourceFeatureWidth, agent);
 
   const auto graph = core::make_graph(core::App::kCholesky, tiles);
   const auto costs = core::make_costs(core::App::kCholesky);
@@ -133,17 +128,13 @@ int main() {
               tensor::f32::isa_name(tensor::f32::active_isa()));
 
   std::vector<Variant> variants = {
-      {"f64ref+full", rl::InferenceBackendKind::kF64Ref, false, {}, 0.0},
-      {"f64ref+incremental", rl::InferenceBackendKind::kF64Ref, true, {}, 0.0},
-      {"f32simd+full", rl::InferenceBackendKind::kF32Simd, false, {}, 0.0},
-      {"f32simd+incremental", rl::InferenceBackendKind::kF32Simd, true, {},
-       0.0},
+      {"f64ref", rl::InferenceBackendKind::kF64Ref, {}, 0.0},
+      {"f32simd", rl::InferenceBackendKind::kF32Simd, {}, 0.0},
   };
 
   for (Variant& v : variants) {
     rl::ReadysOptions opts;
     opts.backend = v.backend;
-    opts.incremental = v.incremental;
     opts.seed = seed;
     {
       // Warmup episode: first-touch allocations (arena growth, encoder
@@ -162,7 +153,7 @@ int main() {
     v.forwards = static_cast<double>(sched.inner().forwards()) / decisions;
     v.reuses = static_cast<double>(sched.inner().offer_reuses()) / decisions;
     const auto s = util::summarize(v.us);
-    std::printf("%-22s %6zu decisions | mean %8.1f us  p50 %8.1f  p95 %8.1f"
+    std::printf("%-8s %6zu decisions | mean %8.1f us  p50 %8.1f  p95 %8.1f"
                 " | fwd %.2f reuse %.2f /decision | makespan %.1f\n",
                 v.name.c_str(), v.us.size(), s.mean,
                 util::quantile(v.us, 0.50), util::quantile(v.us, 0.95),
@@ -170,10 +161,10 @@ int main() {
   }
 
   const double base_mean = util::summarize(variants[0].us).mean;
-  const double fast_mean = util::summarize(variants[3].us).mean;
+  const double fast_mean = util::summarize(variants[1].us).mean;
   const double speedup = fast_mean > 0.0 ? base_mean / fast_mean : 0.0;
-  std::printf("\nspeedup f32simd+incremental vs f64ref+full: %.2fx "
-              "(acceptance floor: 3x)\n\n", speedup);
+  std::printf("\nbackend speedup f32simd vs f64ref: %.2fx (mean us per "
+              "decision)\n\n", speedup);
 
   // Phase 2: batched-vs-single forwards over harvested observations,
   // the tradeoff DecisionService::run_round makes. Encoding is excluded
@@ -244,7 +235,6 @@ int main() {
       obs::JsonObject j;
       j.field("variant", v.name)
           .field("backend", rl::inference_backend_name(v.backend))
-          .field("incremental", v.incremental)
           .field("decisions", static_cast<std::uint64_t>(v.us.size()))
           .field("mean_us", s.mean)
           .field("p50_us", util::quantile(v.us, 0.50))
@@ -284,7 +274,7 @@ int main() {
         .field("sigma", sigma)
         .field("seed", seed)
         .field("isa", tensor::f32::isa_name(tensor::f32::active_isa()))
-        .field("speedup_fast_vs_baseline", speedup)
+        .field("backend_speedup", speedup)
         .raw("variants", vjson)
         .raw("forward_only", bjson);
     std::fprintf(f, "%s\n", j.str().c_str());
@@ -294,7 +284,7 @@ int main() {
     std::perror(path);
     return 1;
   }
-  run.manifest.set("speedup_fast_vs_baseline", speedup);
+  run.manifest.set("backend_speedup", speedup);
   run.finish(path);
   return 0;
 }

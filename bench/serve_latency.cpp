@@ -136,8 +136,8 @@ int main() {
   cfg.agent.hidden = util::env_int("READYS_HIDDEN", 32);
   cfg.agent.seed = cfg.seed;
 
-  rl::PolicyNet net(rl::StateEncoder::node_feature_width(4),
-                    rl::StateEncoder::kResourceFeatureWidth, cfg.agent);
+  rl::PolicyNet net(rl::node_feature_width(4),
+                    rl::kResourceFeatureWidth, cfg.agent);
 
   std::printf("calibrating service capacity (closed loop)...\n");
   const double capacity = calibrate_capacity(net, cfg.agent, cfg);

@@ -62,8 +62,8 @@ Cell run_mode(const core::RunConfig& cfg, const dag::TaskGraph& graph,
   // A fresh net per mode, identical init seed: every cell trains the
   // same model on the same episode seeds.
   rl::PolicyNet net(
-      rl::StateEncoder::node_feature_width(graph.num_kernel_types()),
-      rl::StateEncoder::kResourceFeatureWidth, cfg.agent);
+      rl::node_feature_width(graph.num_kernel_types()),
+      rl::kResourceFeatureWidth, cfg.agent);
   rl::TrainOptions opts = cfg.train_options();
   rl::AgentConfig agent = cfg.agent;
   const std::string mode = spec.mode;

@@ -405,8 +405,8 @@ int cmd_serve_bench(int argc, char** argv) {
   // Untrained seeded net: serve latency and the robustness counters do
   // not depend on policy quality. All catalog apps have 4 kernel types,
   // so one net serves the mixed workload.
-  rl::PolicyNet net(rl::StateEncoder::node_feature_width(4),
-                    rl::StateEncoder::kResourceFeatureWidth, cfg.agent);
+  rl::PolicyNet net(rl::node_feature_width(4),
+                    rl::kResourceFeatureWidth, cfg.agent);
 
   serve::ServiceConfig sc;
   sc.cpus = cfg.ncpu;
@@ -575,8 +575,8 @@ int cmd_cluster_bench(int argc, char** argv) {
   // "guarded:readys") with the configured inference backend. Untrained
   // seeded net: scheduling throughput does not depend on policy quality.
   cfg.agent.seed = cfg.seed;
-  rl::PolicyNet net(rl::StateEncoder::node_feature_width(4),
-                    rl::StateEncoder::kResourceFeatureWidth, cfg.agent);
+  rl::PolicyNet net(rl::node_feature_width(4),
+                    rl::kResourceFeatureWidth, cfg.agent);
   rl::ReadysOptions readys_defaults;
   readys_defaults.backend = rl::parse_inference_backend(cfg.inference_backend);
   rl::register_readys_scheduler(net, cfg.agent.window, cfg.random_offer,
@@ -596,6 +596,7 @@ int cmd_cluster_bench(int argc, char** argv) {
   std::vector<double> mks;
   std::size_t steals = 0, stolen = 0, rescues = 0, dropped = 0, hb = 0;
   std::string sched_name;
+  int shards = 1;  // of the scheduler that ran; 1 when not sharded
   const auto t0 = std::chrono::steady_clock::now();
   std::size_t tasks_done = 0;
   for (int run = 0; run < runs; ++run) {
@@ -613,6 +614,7 @@ int cmd_cluster_bench(int argc, char** argv) {
     tasks_done += r.trace.size();
     if (const auto* ss =
             dynamic_cast<const cluster::ShardScheduler*>(scheduler.get())) {
+      shards = ss->num_shards();
       steals += ss->steals();
       stolen += ss->stolen_tasks();
       rescues += ss->rescue_fallbacks();
@@ -626,7 +628,7 @@ int cmd_cluster_bench(int argc, char** argv) {
   const auto s = util::summarize(mks);
   std::printf("%s on %s via %s, sigma=%.2f, K=%d, %d runs\n",
               graph.name().c_str(), platform.name().c_str(),
-              sched_name.c_str(), cfg.sigma, cfg.cluster_shards, runs);
+              sched_name.c_str(), cfg.sigma, shards, runs);
   std::printf("makespan %.1f ms (+/- %.1f), %.0f scheduled tasks/s wall\n",
               s.mean, s.ci95_half_width,
               wall_s > 0 ? static_cast<double>(tasks_done) / wall_s : 0.0);

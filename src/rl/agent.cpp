@@ -6,9 +6,8 @@ namespace readys::rl {
 
 ReadysAgent::ReadysAgent(int kernel_types, AgentConfig config)
     : kernel_types_(kernel_types), config_(config) {
-  net_ = std::make_unique<PolicyNet>(
-      StateEncoder::node_feature_width(kernel_types),
-      StateEncoder::kResourceFeatureWidth, config_);
+  net_ = std::make_unique<PolicyNet>(node_feature_width(kernel_types),
+                                     kResourceFeatureWidth, config_);
   trainer_ = std::make_unique<A2CTrainer>(*net_, config_);
 }
 

@@ -187,24 +187,6 @@ std::uint64_t parse_u64_field(LineCursor& cur, const char* key) {
   return value;
 }
 
-/// Legacy v1 parser (the old single-file format): magic, episode,
-/// updates, weights payload. Validates fully before applying.
-void load_v1(nn::Module& module, CheckpointData& data,
-             const std::string& blob) {
-  LineCursor cur{blob};
-  std::string line;
-  if (!cur.next(line) || line != kMagicV1) {
-    parse_fail("bad v1 magic '" + line + "'");
-  }
-  CheckpointState st;
-  st.episode = static_cast<int>(parse_u64_field(cur, "episode"));
-  st.updates = static_cast<std::size_t>(parse_u64_field(cur, "updates"));
-  nn::deserialize_parameters(module, blob.substr(cur.pos));
-  data = CheckpointData{};
-  data.progress = st;
-  data.migrated_v1 = true;
-}
-
 /// Tries one candidate file; throws on any corruption, applies on success.
 void load_file(const std::string& path, nn::Module& module,
                CheckpointData& data) {
@@ -293,15 +275,7 @@ void deserialize_checkpoint(nn::Module& module, CheckpointData& data,
   std::string line;
   if (!cur.next(line)) parse_fail("empty file");
   if (line != kMagicV2) {
-    if (line == kMagicV1) {
-      parse_fail(std::string("found a '") + kMagicV1 +
-                 "' payload where a '" + kMagicV2 +
-                 "' file was expected (legacy v1 checkpoints live in "
-                 "checkpoint.txt and are migrated from there)");
-    }
-    parse_fail("bad magic '" + line + "' (expected '" + kMagicV2 +
-               "'; legacy '" + kMagicV1 + "' is only accepted as " +
-               kFileNameV1 + ")");
+    parse_fail("bad magic '" + line + "' (expected '" + kMagicV2 + "')");
   }
 
   CheckpointData parsed;
@@ -415,7 +389,7 @@ bool load_checkpoint(const std::string& dir, nn::Module& module,
   if (!fs::exists(dir, ec)) return false;
 
   // Candidate order: the LATEST target first, then every other retained
-  // file newest-first, finally a legacy v1 checkpoint.txt.
+  // file newest-first.
   std::vector<int> indices = retained_indices(dir);
   std::sort(indices.begin(), indices.end(), std::greater<int>());
   std::vector<std::string> candidates;
@@ -451,30 +425,14 @@ bool load_checkpoint(const std::string& dir, nn::Module& module,
     }
   }
 
+  // checkpoint.txt is the legacy v1 file. It is never loaded, and never
+  // skipped either: returning false would silently restart training over
+  // the progress it records.
   const std::string v1_path = checkpoint_path(dir);
   if (fs::exists(v1_path, ec)) {
-    std::ifstream in(v1_path, std::ios::binary);
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    const std::string blob = buffer.str();
-    if (blob.rfind(kMagicV1, 0) == 0) {
-      try {
-        load_v1(module, data, blob);
-        util::log_warn()
-            << "load_checkpoint: migrated legacy '" << kMagicV1
-            << "' file " << v1_path
-            << " (weights + progress restored; optimizer moments and RNG "
-               "streams start fresh, so the resumed run is not bit-identical "
-               "to an uninterrupted one)";
-        return true;
-      } catch (const std::exception& e) {
-        errors.push_back(v1_path + ": " + e.what());
-      }
-    } else {
-      errors.push_back(v1_path + ": bad magic (expected legacy '" +
-                       kMagicV1 + "' here or '" + kMagicV2 +
-                       "' in checkpoint.<n>.txt files)");
-    }
+    errors.push_back(v1_path + ": legacy '" + kMagicV1 +
+                     "' files are not loaded; resume needs a '" + kMagicV2 +
+                     "' checkpoint.<n>.txt file");
   }
 
   if (errors.empty() && candidates.empty()) {
@@ -495,14 +453,10 @@ void apply_checkpoint_to_trainer(const CheckpointData& data,
                                  std::uint64_t env_seed, std::size_t num_envs,
                                  nn::Optimizer& optimizer,
                                  util::Rng& sample_rng) {
-  if (!data.migrated_v1 && data.trainer != trainer) {
+  if (data.trainer != trainer) {
     throw std::runtime_error(
         "apply_checkpoint_to_trainer: checkpoint was written by '" +
         data.trainer + "', refusing to resume a '" + trainer + "' run");
-  }
-  if (data.migrated_v1) {
-    // load_checkpoint already warned; there is no state to apply.
-    return;
   }
   if (data.env_seed != env_seed) {
     util::log_warn() << "resume: checkpoint seed " << data.env_seed

@@ -16,10 +16,7 @@ SchedulingEnv::SchedulingEnv(const dag::TaskGraph& graph,
       config_(config),
       action_rng_(config.seed ^ 0xD1B54A32D192ED03ULL),
       heft_ref_(sched::heft_expected_makespan(graph, platform, costs)) {
-  if (config.incremental_encoding) {
-    inc_ = std::make_unique<IncrementalEncoder>(graph, costs, config.window);
-    inc_->set_sparse_ahat(config.sparse_ahat);
-  }
+  encoder_.set_sparse_ahat(config.sparse_ahat);
   reset(config.seed);
 }
 
@@ -56,14 +53,8 @@ void SchedulingEnv::advance_to_decision() {
         // ∅ is legal unless declining would deadlock: nothing running and
         // this is the last idle resource that could take the work.
         const bool allow_idle = engine_.any_running() || cands.size() > 1;
-        {
-          obs::Span encode_span("rl/state_encode", "train");
-          if (inc_) {
-            inc_->encode(engine_, current, allow_idle);
-          } else {
-            obs_ = encoder_.encode(engine_, current, allow_idle);
-          }
-        }
+        obs::Span encode_span("rl/state_encode", "train");
+        encoder_.encode(engine_, current, allow_idle);
         return;
       }
     }

@@ -18,15 +18,17 @@ namespace readys::rl {
 struct Observation {
   dag::Window window;
   tensor::Tensor features;  ///< |window| x node_feature_width
-  tensor::Tensor ahat;      ///< |window| x |window| renormalized adjacency
+  /// |window| x |window| renormalized adjacency; left 0x0 by an encoder
+  /// in sparse mode (IncrementalEncoder::set_sparse_ahat).
+  tensor::Tensor ahat;
   /// CSR view of `ahat` (same values bit for bit; see
-  /// nn::normalized_adjacency_csr). Both encoders fill it; the f32
+  /// nn::normalized_adjacency_csr). The encoder always fills it; the f32
   /// inference backend consumes it to stay O(nnz) per decision. Empty on
   /// hand-assembled observations — consumers must fall back to `ahat`.
   nn::SparseAdj ahat_csr;
   std::vector<std::size_t> ready_positions;  ///< rows that are ready tasks
   std::vector<dag::TaskId> ready_tasks;      ///< aligned with positions
-  tensor::Tensor resource_state;             ///< 1 x resource_feature_width
+  tensor::Tensor resource_state;             ///< 1 x kResourceFeatureWidth
   sim::ResourceId current_resource = -1;
   bool allow_idle = false;  ///< the ∅ action is legal (something running)
 
@@ -39,61 +41,23 @@ struct Observation {
   std::size_t idle_action() const noexcept { return ready_tasks.size(); }
 };
 
-/// Builds Observations from a SimEngine. Holds the per-graph static
-/// features (computed once) so per-decision encoding touches only the
-/// window.
-class StateEncoder {
- public:
-  /// Per-node feature width: 2 degrees + one-hot type + descendant
-  /// profile F + [ready, running, remaining, on-gpu] + normalized
-  /// expected durations [on CPU, on GPU, on the current processor]. The
-  /// duration triple is the "computing resource state" enrichment of the
-  /// sub-DAG (Fig. 2): it lets task scores depend on the processor being
-  /// offered, exactly the information MCT and HEFT read from the cost
-  /// model.
-  static int node_feature_width(int kernel_types) {
-    return 2 + 2 * kernel_types + 4 + 3;
-  }
-  /// Width of the resource-state summary vector.
-  static constexpr int kResourceFeatureWidth = 8;
+/// Per-node feature width: 2 degrees + one-hot type + descendant profile
+/// F + [ready, running, remaining, on-gpu] + normalized expected
+/// durations [on CPU, on GPU, on the current processor]. The duration
+/// triple is the "computing resource state" enrichment of the sub-DAG
+/// (Fig. 2): it lets task scores depend on the processor being offered,
+/// exactly the information MCT and HEFT read from the cost model.
+constexpr int node_feature_width(int kernel_types) {
+  return 2 + 2 * kernel_types + 4 + 3;
+}
 
-  StateEncoder(const dag::TaskGraph& graph, const sim::CostModel& costs,
-               int window);
+/// Width of the resource-state summary vector.
+inline constexpr int kResourceFeatureWidth = 8;
 
-  /// Encodes the state at a decision instant for `current` (an idle
-  /// resource). Seeds of the window are the running tasks followed by the
-  /// ready tasks, as in Fig. 1 of the paper.
-  ///
-  /// `allow_idle` marks the ∅ action legal. It must be false exactly when
-  /// declining would deadlock: nothing is running AND no other idle
-  /// resource is left to be offered at this instant. The overload without
-  /// the flag derives the weaker any_running() condition, sufficient for
-  /// standalone encoding.
-  Observation encode(const sim::EngineView& engine, sim::ResourceId current,
-                     bool allow_idle) const;
-  Observation encode(const sim::EngineView& engine,
-                     sim::ResourceId current) const;
-
-  int window() const noexcept { return window_; }
-  const dag::StaticFeatures& static_features() const noexcept {
-    return static_;
-  }
-  const dag::TaskGraph& graph() const noexcept { return *graph_; }
-  const sim::CostModel& costs() const noexcept { return costs_; }
-  /// Normalization constant for all duration-valued features.
-  double time_scale() const noexcept { return time_scale_; }
-
- private:
-  const dag::TaskGraph* graph_;
-  dag::StaticFeatures static_;
-  sim::CostModel costs_;  ///< copied: tiny, and temporaries stay safe
-  int window_;
-  double time_scale_;  ///< max expected kernel duration on a CPU
-};
-
-/// Incremental counterpart of StateEncoder for the inference fast path.
-/// Produces Observations bit-identical to StateEncoder::encode on the
-/// same engine state, but amortizes the per-decision work:
+/// Builds Observations from an engine view, keeping what it can between
+/// decisions. The window is seeded with the running tasks followed by the
+/// ready tasks, as in Fig. 1 of the paper. Per-decision work is
+/// amortized:
 ///
 ///  - static feature columns (degrees, type one-hot, descendant profile
 ///    F(i)) and the normalized CPU/GPU duration columns are precomputed
@@ -111,6 +75,9 @@ class StateEncoder {
 ///    by the previous encode are undone and only the current running
 ///    set is rewritten (O(R) instead of O(n·R)).
 ///
+/// The test suite pins every observation bit-identical, field for field,
+/// to a from-scratch reference encoding of the same engine state.
+///
 /// The ready bit is rescanned for every window row each encode because
 /// readiness is a global DAG fact that can change without the scoped
 /// seed lists changing (shard-scoped EngineViews). The resource-state
@@ -123,11 +90,12 @@ class IncrementalEncoder {
   IncrementalEncoder(const dag::TaskGraph& graph, const sim::CostModel& costs,
                      int window);
 
-  /// See StateEncoder::encode for semantics; the result is bit-identical.
+  /// Encodes the state at a decision instant for `current` (an idle
+  /// resource). `allow_idle` marks the ∅ action legal; it must be false
+  /// exactly when declining would deadlock: nothing is running AND no
+  /// other idle resource is left to be offered at this instant.
   const Observation& encode(const sim::EngineView& engine,
                             sim::ResourceId current, bool allow_idle);
-  const Observation& encode(const sim::EngineView& engine,
-                            sim::ResourceId current);
 
   /// The observation produced by the last encode() call.
   const Observation& observation() const noexcept { return obs_; }
@@ -142,9 +110,8 @@ class IncrementalEncoder {
   /// `ahat` is left an empty 0x0 tensor so a dense consumer fails loudly
   /// instead of reading stale numbers. Skipping the O(n^2) dense build is
   /// the point: the f32 inference backend never touches it.
-  /// ReadysScheduler enables this for backend=f32simd. Off by default —
-  /// the bit-identity contract with StateEncoder::encode needs the dense
-  /// matrix present.
+  /// ReadysScheduler enables this for backend=f32simd. Off by default:
+  /// the f64 forward (training, backend=f64ref) reads the dense matrix.
   void set_sparse_ahat(bool on) noexcept {
     sparse_ahat_ = on;
     valid_ = false;

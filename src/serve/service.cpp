@@ -129,7 +129,6 @@ std::unique_ptr<Session> DecisionService::build_session(
   // ReadysScheduler::reset; kF64Ref needs the dense matrix.
   return std::make_unique<Session>(
       id, spec, platform_, std::move(graph), agent_.window, attempt,
-      cfg_.incremental_encoding,
       cfg_.inference_backend == rl::InferenceBackendKind::kF32Simd);
 }
 

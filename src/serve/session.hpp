@@ -84,24 +84,21 @@ struct SessionResult {
 };
 
 /// One live DAG session inside the service: the env, the graph it
-/// observes (owned here — SimEngine and StateEncoder keep raw pointers
-/// into it, so the address must be stable for the session's lifetime),
-/// an MCT scratch scheduler for deadline degrades, and the per-session
-/// action stream. Non-movable for the same pointer-stability reason;
-/// the service holds sessions by unique_ptr.
+/// observes (owned here — SimEngine and IncrementalEncoder keep raw
+/// pointers into it, so the address must be stable for the session's
+/// lifetime), an MCT scratch scheduler for deadline degrades, and the
+/// per-session action stream. Non-movable for the same pointer-stability
+/// reason; the service holds sessions by unique_ptr.
 class Session {
  public:
   /// `attempt` counts retries (0 = first run): the env seed is derived
   /// from (spec.seed, attempt) so a transient-fault resubmission replays
   /// under a fresh fault/noise stream while staying deterministic.
-  /// `incremental_encoding` selects the IncrementalEncoder for this
-  /// session's env (bit-identical observations; the long-lived serving
-  /// path wants the amortized encode). `sparse_ahat` then skips the dense
-  /// Â the f32simd backend never reads (SchedulingEnv::Config).
+  /// `sparse_ahat` skips the dense Â the f32simd backend never reads
+  /// (SchedulingEnv::Config).
   Session(std::uint64_t id, SessionSpec spec, const sim::Platform& platform,
           std::shared_ptr<const dag::TaskGraph> graph, int window,
-          int attempt = 0, bool incremental_encoding = false,
-          bool sparse_ahat = false);
+          int attempt = 0, bool sparse_ahat = false);
 
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;

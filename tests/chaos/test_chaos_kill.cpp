@@ -96,8 +96,7 @@ std::string run_training(Trainer trainer, std::size_t num_envs,
     opts.async_batch = 1;
   }
 
-  rl::PolicyNet net(rl::StateEncoder::node_feature_width(4),
-                    rl::StateEncoder::kResourceFeatureWidth, cfg);
+  rl::PolicyNet net(rl::node_feature_width(4), rl::kResourceFeatureWidth, cfg);
   if (trainer == Trainer::kA2c) {
     rl::A2CTrainer t(net, cfg);
     if (num_envs == 1) {

@@ -139,8 +139,8 @@ void expect_bit_identical_isolation(const rr::PolicyNet& net,
 
 TEST(ChaosPoisonSession, PumpModeNeighborsBitIdentical) {
   const auto agent = small_agent();
-  const rr::PolicyNet net(rr::StateEncoder::node_feature_width(4),
-                          rr::StateEncoder::kResourceFeatureWidth, agent);
+  const rr::PolicyNet net(rr::node_feature_width(4),
+                          rr::kResourceFeatureWidth, agent);
   expect_bit_identical_isolation(net, agent, /*workers=*/0);
 }
 
@@ -148,15 +148,15 @@ TEST(ChaosPoisonSession, WorkerThreadsNeighborsBitIdentical) {
   // Same proof under real worker threads: batch composition now depends
   // on timing, which is exactly the point — decisions may not.
   const auto agent = small_agent();
-  const rr::PolicyNet net(rr::StateEncoder::node_feature_width(4),
-                          rr::StateEncoder::kResourceFeatureWidth, agent);
+  const rr::PolicyNet net(rr::node_feature_width(4),
+                          rr::kResourceFeatureWidth, agent);
   expect_bit_identical_isolation(net, agent, /*workers=*/2);
 }
 
 TEST(ChaosPoisonSession, PoisonFromDecisionZeroIsQuarantinedImmediately) {
   const auto agent = small_agent();
-  const rr::PolicyNet net(rr::StateEncoder::node_feature_width(4),
-                          rr::StateEncoder::kResourceFeatureWidth, agent);
+  const rr::PolicyNet net(rr::node_feature_width(4),
+                          rr::kResourceFeatureWidth, agent);
   rv::ServiceConfig sc;
   sc.workers = 0;
   sc.record_actions = true;

@@ -37,8 +37,8 @@ rr::AgentConfig small_agent() {
 }
 
 rr::PolicyNet small_net(const rr::AgentConfig& cfg) {
-  return rr::PolicyNet(rr::StateEncoder::node_feature_width(4),
-                       rr::StateEncoder::kResourceFeatureWidth, cfg);
+  return rr::PolicyNet(rr::node_feature_width(4),
+                       rr::kResourceFeatureWidth, cfg);
 }
 
 rv::SessionSpec spec_for(rc::App app, int tiles, std::uint64_t seed,

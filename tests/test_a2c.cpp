@@ -29,7 +29,7 @@ rr::AgentConfig tiny_config() {
 TEST(A2C, SelectActionGreedyPicksArgmax) {
   rr::AgentConfig cfg = tiny_config();
   const auto graph = rd::cholesky_graph(2);
-  rr::PolicyNet net(rr::StateEncoder::node_feature_width(4), 8, cfg);
+  rr::PolicyNet net(rr::node_feature_width(4), 8, cfg);
   rr::A2CTrainer trainer(net, cfg);
   rr::PolicyNet::Output out;
   out.probs = readys::tensor::Var(
@@ -40,7 +40,7 @@ TEST(A2C, SelectActionGreedyPicksArgmax) {
 
 TEST(A2C, SelectActionSamplingMatchesDistribution) {
   rr::AgentConfig cfg = tiny_config();
-  rr::PolicyNet net(rr::StateEncoder::node_feature_width(4), 8, cfg);
+  rr::PolicyNet net(rr::node_feature_width(4), 8, cfg);
   rr::A2CTrainer trainer(net, cfg);
   rr::PolicyNet::Output out;
   out.probs = readys::tensor::Var(
@@ -59,7 +59,7 @@ TEST(A2C, TrainingRunsAndReportsEveryEpisode) {
   const auto platform = rs::Platform::hybrid(1, 1);
   const auto costs = rs::CostModel::cholesky();
   auto cfg = tiny_config();
-  rr::PolicyNet net(rr::StateEncoder::node_feature_width(4), 8, cfg);
+  rr::PolicyNet net(rr::node_feature_width(4), 8, cfg);
   rr::A2CTrainer trainer(net, cfg);
   rr::SchedulingEnv env(graph, platform, costs, {0.0, cfg.window, 1});
   const auto report = trainer.train(env, {.episodes = 8, .sigma = 0.0});
@@ -77,7 +77,7 @@ TEST(A2C, TrainingChangesParameters) {
   const auto platform = rs::Platform::hybrid(1, 1);
   const auto costs = rs::CostModel::cholesky();
   auto cfg = tiny_config();
-  rr::PolicyNet net(rr::StateEncoder::node_feature_width(4), 8, cfg);
+  rr::PolicyNet net(rr::node_feature_width(4), 8, cfg);
   std::vector<readys::tensor::Tensor> before;
   for (const auto& p : net.parameters()) before.push_back(p.value());
   rr::A2CTrainer trainer(net, cfg);
@@ -96,7 +96,7 @@ TEST(A2C, EvaluateIsGreedyDeterministic) {
   const auto platform = rs::Platform::hybrid(1, 1);
   const auto costs = rs::CostModel::cholesky();
   auto cfg = tiny_config();
-  rr::PolicyNet net(rr::StateEncoder::node_feature_width(4), 8, cfg);
+  rr::PolicyNet net(rr::node_feature_width(4), 8, cfg);
   rr::A2CTrainer trainer(net, cfg);
   rr::SchedulingEnv env(graph, platform, costs, {0.0, cfg.window, 1});
   const auto a = trainer.evaluate(env, 3, 42, /*greedy=*/true);
@@ -116,7 +116,7 @@ TEST(A2C, SampledEvaluateIsIndependentOfTrainingHistory) {
   const auto costs = rs::CostModel::cholesky();
   auto cfg = tiny_config();
   cfg.lr = 0.0;
-  rr::PolicyNet net(rr::StateEncoder::node_feature_width(4), 8, cfg);
+  rr::PolicyNet net(rr::node_feature_width(4), 8, cfg);
   rr::A2CTrainer trainer(net, cfg);
   rr::SchedulingEnv env(graph, platform, costs, {0.1, cfg.window, 1});
   const auto before = trainer.evaluate(env, 4, 77, /*greedy=*/false);
@@ -129,7 +129,7 @@ TEST(A2C, RewardSquashIsMonotoneAndBounded) {
   auto cfg = tiny_config();
   cfg.squash_reward = true;
   cfg.reward_clip = 1.0;
-  rr::PolicyNet net(rr::StateEncoder::node_feature_width(4), 8, cfg);
+  rr::PolicyNet net(rr::node_feature_width(4), 8, cfg);
   rr::A2CTrainer trainer(net, cfg);
   double prev = -2.0;
   for (double r : {-20.0, -5.0, -1.0, -0.5, 0.0, 0.3, 0.45}) {
@@ -151,7 +151,7 @@ TEST(A2C, ShapeRewardRejectsNonFiniteReward) {
   // A NaN reward (e.g. a makespan ratio with a zero denominator) must
   // fail loudly before it poisons the returns of a whole episode.
   auto cfg = tiny_config();
-  rr::PolicyNet net(rr::StateEncoder::node_feature_width(4), 8, cfg);
+  rr::PolicyNet net(rr::node_feature_width(4), 8, cfg);
   rr::A2CTrainer trainer(net, cfg);
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
@@ -164,7 +164,7 @@ TEST(A2C, RewardShapingCanBeDisabled) {
   auto cfg = tiny_config();
   cfg.squash_reward = false;
   cfg.reward_clip = 0.0;
-  rr::PolicyNet net(rr::StateEncoder::node_feature_width(4), 8, cfg);
+  rr::PolicyNet net(rr::node_feature_width(4), 8, cfg);
   rr::A2CTrainer trainer(net, cfg);
   EXPECT_DOUBLE_EQ(trainer.shape_reward(-7.5), -7.5);  // paper's raw reward
 }
@@ -178,7 +178,7 @@ TEST(A2C, LearnsTinyInstanceToHeftLevel) {
   const auto costs = rs::CostModel::cholesky();
   auto cfg = tiny_config();
   cfg.entropy_beta = 1e-3;
-  rr::PolicyNet net(rr::StateEncoder::node_feature_width(4), 8, cfg);
+  rr::PolicyNet net(rr::node_feature_width(4), 8, cfg);
   rr::A2CTrainer trainer(net, cfg);
   rr::SchedulingEnv env(graph, platform, costs, {0.0, cfg.window, 1});
   trainer.train(env, {.episodes = 250});

@@ -155,8 +155,8 @@ TEST(AsyncStress, ServiceAbortRacesSubmitters) {
   agent.gcn_layers = 1;
   agent.window = 1;
   agent.seed = 3;
-  rr::PolicyNet net(rr::StateEncoder::node_feature_width(4),
-                    rr::StateEncoder::kResourceFeatureWidth, agent);
+  rr::PolicyNet net(rr::node_feature_width(4),
+                    rr::kResourceFeatureWidth, agent);
 
   for (int round = 0; round < 3; ++round) {
     rv::ServiceConfig sc;
@@ -198,8 +198,8 @@ TEST(AsyncStress, ServiceDrainRacesSubmitters) {
   agent.gcn_layers = 1;
   agent.window = 1;
   agent.seed = 3;
-  rr::PolicyNet net(rr::StateEncoder::node_feature_width(4),
-                    rr::StateEncoder::kResourceFeatureWidth, agent);
+  rr::PolicyNet net(rr::node_feature_width(4),
+                    rr::kResourceFeatureWidth, agent);
 
   rv::ServiceConfig sc;
   sc.workers = 2;

@@ -2,7 +2,7 @@
 // trips (weights + optimizer + RNG streams + progress), CRC-guarded
 // corruption detection with fallback to the newest valid retained file,
 // last-K retention, stale-tmp hygiene, truncation fuzzing at every byte
-// offset, legacy v1 migration, and trainer-level --resume that is
+// offset, legacy v1 rejection, and trainer-level --resume that is
 // bit-identical to the uninterrupted run.
 
 #include <gtest/gtest.h>
@@ -81,7 +81,6 @@ void expect_data_eq(const rl::CheckpointData& a, const rl::CheckpointData& b) {
   EXPECT_EQ(a.num_envs, b.num_envs);
   EXPECT_EQ(a.rngs, b.rngs);
   EXPECT_EQ(a.optimizer, b.optimizer);
-  EXPECT_EQ(a.migrated_v1, b.migrated_v1);
 }
 
 }  // namespace
@@ -295,7 +294,7 @@ TEST(Checkpoint, EveryTruncationOffsetOfWeightsBlobIsRejected) {
   EXPECT_TRUE(same_parameters(a, b));
 }
 
-TEST(Checkpoint, LegacyV1FileIsMigratedWithFreshOptimizerState) {
+TEST(Checkpoint, LegacyV1FileIsRejectedNamingBothVersions) {
   const auto dir = scratch_dir("readys-ckpt-v1");
   fs::create_directories(dir);
   Rng rng1(18);
@@ -305,14 +304,20 @@ TEST(Checkpoint, LegacyV1FileIsMigratedWithFreshOptimizerState) {
   write_file(rl::checkpoint_path(dir), "readys-checkpoint v1\nepisode 12\n"
                                        "updates 34\n" +
                                            rn::serialize_parameters(a));
+  const std::string pristine = rn::serialize_parameters(b);
   rl::CheckpointData loaded;
-  ASSERT_TRUE(rl::load_checkpoint(dir, b, loaded));
-  EXPECT_TRUE(loaded.migrated_v1);
-  EXPECT_EQ(loaded.progress.episode, 12);
-  EXPECT_EQ(loaded.progress.updates, 34u);
-  EXPECT_TRUE(loaded.rngs.empty());
-  EXPECT_TRUE(loaded.optimizer.empty());
-  EXPECT_TRUE(same_parameters(a, b));
+  // A throw, never `false`: false would restart training from episode 0
+  // over the progress the old file records.
+  try {
+    (void)rl::load_checkpoint(dir, b, loaded);
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("readys-checkpoint v1"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("readys-ckpt/2"), std::string::npos) << msg;
+  }
+  EXPECT_EQ(rn::serialize_parameters(b), pristine);
+  EXPECT_EQ(loaded.progress.episode, 0);
   fs::remove_all(dir);
 }
 

@@ -36,8 +36,8 @@ TEST(ConfigVariants, CriticFlagChangesValueHeadShape) {
   base.critic_sees_resources = false;
   auto enriched = tiny();
   enriched.critic_sees_resources = true;
-  rr::PolicyNet literal(rr::StateEncoder::node_feature_width(4), 8, base);
-  rr::PolicyNet rich(rr::StateEncoder::node_feature_width(4), 8, enriched);
+  rr::PolicyNet literal(rr::node_feature_width(4), 8, base);
+  rr::PolicyNet rich(rr::node_feature_width(4), 8, enriched);
   // The enriched critic doubles the value head input.
   EXPECT_GT(rich.parameter_count(), literal.parameter_count());
   // Weights of one variant must not deserialize into the other.
@@ -58,7 +58,7 @@ TEST(ConfigVariants, PaperLiteralTrainingStillRuns) {
   cfg.entropy_decay = false;
   cfg.unroll = 20;
   cfg.lr = 1e-2;
-  rr::PolicyNet net(rr::StateEncoder::node_feature_width(4), 8, cfg);
+  rr::PolicyNet net(rr::node_feature_width(4), 8, cfg);
   rr::A2CTrainer trainer(net, cfg);
   rr::SchedulingEnv env(graph, platform, costs,
                         {0.2, cfg.window, 1, /*random_offer=*/true});
@@ -111,7 +111,7 @@ TEST(ConfigVariants, NormalizedAdvantageVariantRuns) {
   const auto costs = rs::CostModel::cholesky();
   auto cfg = tiny();
   cfg.normalize_advantage = true;
-  rr::PolicyNet net(rr::StateEncoder::node_feature_width(4), 8, cfg);
+  rr::PolicyNet net(rr::node_feature_width(4), 8, cfg);
   rr::A2CTrainer trainer(net, cfg);
   rr::SchedulingEnv env(graph, platform, costs, {0.0, cfg.window, 1});
   const auto report = trainer.train(env, {.episodes = 4});

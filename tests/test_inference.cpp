@@ -128,8 +128,8 @@ rr::PolicyNet make_net(int hidden, std::uint64_t seed,
   cfg.hidden = hidden;
   cfg.seed = seed;
   cfg.window = window;
-  return rr::PolicyNet(rr::StateEncoder::node_feature_width(4),
-                       rr::StateEncoder::kResourceFeatureWidth, cfg);
+  return rr::PolicyNet(rr::node_feature_width(4),
+                       rr::kResourceFeatureWidth, cfg);
 }
 
 /// Harvests observations from a uniformly random rollout.
@@ -381,8 +381,8 @@ TEST(InferenceBackend, SnapshotDescribesTheArchitecture) {
   const auto net = make_net(16, 11);
   const auto w = rr::InferenceWeights::snapshot(net);
   EXPECT_EQ(w.hidden, 16);
-  EXPECT_EQ(w.node_features, rr::StateEncoder::node_feature_width(4));
-  EXPECT_EQ(w.resource_features, rr::StateEncoder::kResourceFeatureWidth);
+  EXPECT_EQ(w.node_features, rr::node_feature_width(4));
+  EXPECT_EQ(w.resource_features, rr::kResourceFeatureWidth);
   ASSERT_EQ(w.gcn_w.size(), w.gcn_in.size());
   ASSERT_FALSE(w.gcn_w.empty());
   EXPECT_EQ(w.gcn_in.front(), static_cast<std::size_t>(w.node_features));
@@ -547,13 +547,14 @@ TEST(BaseSpec, GrammarMatchesAndRejects) {
   EXPECT_TRUE(p.spec.items.empty());
   EXPECT_TRUE(p.spec.inner.empty());
 
-  p = rx::parse_base_spec("readys(backend=f32simd,incremental=0)", "readys");
+  // The grammar takes any key; the registry validates keys afterwards.
+  p = rx::parse_base_spec("readys(backend=f32simd,bogus=0)", "readys");
   ASSERT_TRUE(p.matched);
   EXPECT_TRUE(p.error.empty());
   ASSERT_EQ(p.spec.items.size(), 2u);
   EXPECT_EQ(p.spec.items[0].first, "backend");
   EXPECT_EQ(p.spec.items[0].second, "f32simd");
-  EXPECT_EQ(p.spec.items[1].first, "incremental");
+  EXPECT_EQ(p.spec.items[1].first, "bogus");
 
   EXPECT_FALSE(rx::parse_base_spec("readysx", "readys").matched);
   EXPECT_FALSE(rx::parse_base_spec("heft", "readys").matched);
@@ -574,8 +575,9 @@ TEST(ReadysSpec, RegistryResolvesBackendsAndComposesWithPrefixes) {
   auto& reg = rx::registry();
   EXPECT_TRUE(reg.contains("readys"));
   EXPECT_TRUE(reg.contains("readys(backend=f32simd)"));
-  EXPECT_TRUE(reg.contains("readys(backend=f64ref,incremental=0)"));
+  EXPECT_TRUE(reg.contains("readys(backend=f64ref)"));
   EXPECT_FALSE(reg.contains("readys(backend=f16)"));
+  EXPECT_FALSE(reg.contains("readys(incremental=1)"));
   EXPECT_FALSE(reg.contains("readys(bogus=1)"));
   EXPECT_TRUE(reg.contains("guarded:readys"));
   readys::cluster::register_cluster_scheduler();
@@ -584,26 +586,25 @@ TEST(ReadysSpec, RegistryResolvesBackendsAndComposesWithPrefixes) {
   const auto names = reg.names();
   EXPECT_NE(std::find(names.begin(), names.end(), "readys"), names.end());
 
-  try {
-    (void)reg.make("readys(bogus=1)");
-    FAIL() << "expected invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("backend, incremental"),
-              std::string::npos);
+  // backend is the only readys option: any other key is rejected, and
+  // the message lists the known keys.
+  for (const char* spec : {"readys(bogus=1)", "readys(incremental=1)"}) {
+    try {
+      (void)reg.make(spec);
+      FAIL() << "expected invalid_argument for " << spec;
+    } catch (const std::invalid_argument& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("unknown readys option"), std::string::npos) << msg;
+      EXPECT_NE(msg.find("(known: backend)"), std::string::npos) << msg;
+    }
   }
 
-  // Spec-configured construction runs end to end, and the two encoders
-  // land the identical schedule under the bit-exact f64ref backend.
+  // Spec-configured construction runs end to end under both backends.
   const auto graph = rd::cholesky_graph(4);
   const auto costs = rs::CostModel::cholesky();
   const auto platform = rs::Platform::hybrid(2, 2);
-  auto full = reg.make("readys(incremental=0)", {.seed = 3});
-  auto inc = reg.make("readys(incremental=1)", {.seed = 3});
-  const double mk_full =
-      rs::simulate_makespan(graph, platform, costs, *full, 0.2, 11);
-  const double mk_inc =
-      rs::simulate_makespan(graph, platform, costs, *inc, 0.2, 11);
-  EXPECT_EQ(mk_full, mk_inc);
+  auto ref = reg.make("readys(backend=f64ref)", {.seed = 3});
+  EXPECT_GT(rs::simulate_makespan(graph, platform, costs, *ref, 0.2, 11), 0.0);
 
   auto fast = reg.make("readys(backend=f32simd)", {.seed = 3});
   const double mk_fast =

@@ -23,8 +23,8 @@ rr::Observation make_observation(bool allow_idle, int w = 2) {
     engine.advance();
     engine.start(engine.ready().front(), 1);
   }
-  rr::StateEncoder enc(graph, costs, w);
-  return enc.encode(engine, 3);
+  rr::IncrementalEncoder enc(graph, costs, w);
+  return enc.encode(engine, 3, engine.any_running());
 }
 
 rr::AgentConfig small_config() {
@@ -39,7 +39,7 @@ rr::AgentConfig small_config() {
 
 TEST(PolicyNet, OutputShapesWithoutIdle) {
   const auto obs = make_observation(false);
-  rr::PolicyNet net(rr::StateEncoder::node_feature_width(4), 8, small_config());
+  rr::PolicyNet net(rr::node_feature_width(4), 8, small_config());
   const auto out = net.forward(obs);
   EXPECT_EQ(out.probs.cols(), obs.ready_tasks.size());
   EXPECT_EQ(out.log_probs.cols(), obs.ready_tasks.size());
@@ -49,14 +49,14 @@ TEST(PolicyNet, OutputShapesWithoutIdle) {
 TEST(PolicyNet, OutputShapesWithIdle) {
   const auto obs = make_observation(true);
   ASSERT_TRUE(obs.allow_idle);
-  rr::PolicyNet net(rr::StateEncoder::node_feature_width(4), 8, small_config());
+  rr::PolicyNet net(rr::node_feature_width(4), 8, small_config());
   const auto out = net.forward(obs);
   EXPECT_EQ(out.probs.cols(), obs.ready_tasks.size() + 1);
 }
 
 TEST(PolicyNet, ProbabilitiesAreADistribution) {
   const auto obs = make_observation(true);
-  rr::PolicyNet net(rr::StateEncoder::node_feature_width(4), 8, small_config());
+  rr::PolicyNet net(rr::node_feature_width(4), 8, small_config());
   const auto p = net.forward(obs).probs.value();
   double sum = 0.0;
   for (std::size_t i = 0; i < p.size(); ++i) {
@@ -68,8 +68,8 @@ TEST(PolicyNet, ProbabilitiesAreADistribution) {
 
 TEST(PolicyNet, DeterministicGivenSeed) {
   const auto obs = make_observation(true);
-  rr::PolicyNet a(rr::StateEncoder::node_feature_width(4), 8, small_config());
-  rr::PolicyNet b(rr::StateEncoder::node_feature_width(4), 8, small_config());
+  rr::PolicyNet a(rr::node_feature_width(4), 8, small_config());
+  rr::PolicyNet b(rr::node_feature_width(4), 8, small_config());
   EXPECT_TRUE(a.forward(obs).probs.value() == b.forward(obs).probs.value());
 }
 
@@ -77,15 +77,15 @@ TEST(PolicyNet, DifferentSeedsDiffer) {
   const auto obs = make_observation(true);
   auto cfg2 = small_config();
   cfg2.seed = 99;
-  rr::PolicyNet a(rr::StateEncoder::node_feature_width(4), 8, small_config());
-  rr::PolicyNet b(rr::StateEncoder::node_feature_width(4), 8, cfg2);
+  rr::PolicyNet a(rr::node_feature_width(4), 8, small_config());
+  rr::PolicyNet b(rr::node_feature_width(4), 8, cfg2);
   EXPECT_FALSE(a.forward(obs).probs.value() ==
                b.forward(obs).probs.value());
 }
 
 TEST(PolicyNet, GradientsReachEveryParameter) {
   const auto obs = make_observation(true);
-  rr::PolicyNet net(rr::StateEncoder::node_feature_width(4), 8, small_config());
+  rr::PolicyNet net(rr::node_feature_width(4), 8, small_config());
   const auto out = net.forward(obs);
   // Loss touching the policy, the value and the entropy heads.
   rt::Var loss = rt::add(
@@ -101,21 +101,21 @@ TEST(PolicyNet, RejectsEmptyReadySet) {
   auto obs = make_observation(false);
   obs.ready_tasks.clear();
   obs.ready_positions.clear();
-  rr::PolicyNet net(rr::StateEncoder::node_feature_width(4), 8, small_config());
+  rr::PolicyNet net(rr::node_feature_width(4), 8, small_config());
   EXPECT_THROW(net.forward(obs), std::invalid_argument);
 }
 
 TEST(PolicyNet, RequiresAtLeastOneGcnLayer) {
   auto cfg = small_config();
   cfg.gcn_layers = 0;
-  EXPECT_THROW(rr::PolicyNet(rr::StateEncoder::node_feature_width(4), 8, cfg), std::invalid_argument);
+  EXPECT_THROW(rr::PolicyNet(rr::node_feature_width(4), 8, cfg), std::invalid_argument);
 }
 
 TEST(PolicyNet, ParameterCountScalesWithConfig) {
   auto cfg = small_config();
-  rr::PolicyNet small(rr::StateEncoder::node_feature_width(4), 8, cfg);
+  rr::PolicyNet small(rr::node_feature_width(4), 8, cfg);
   cfg.hidden = 32;
-  rr::PolicyNet big(rr::StateEncoder::node_feature_width(4), 8, cfg);
+  rr::PolicyNet big(rr::node_feature_width(4), 8, cfg);
   EXPECT_GT(big.parameter_count(), small.parameter_count());
   EXPECT_EQ(small.num_gcn_layers(), 2);
 }

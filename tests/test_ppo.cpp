@@ -26,7 +26,7 @@ TEST(Ppo, TrainingRunsAndReports) {
   const auto platform = rs::Platform::hybrid(1, 1);
   const auto costs = rs::CostModel::cholesky();
   auto cfg = tiny_config();
-  rr::PolicyNet net(rr::StateEncoder::node_feature_width(4), 8, cfg);
+  rr::PolicyNet net(rr::node_feature_width(4), 8, cfg);
   rr::PpoTrainer trainer(net, cfg, {.rollout_episodes = 4, .epochs = 2});
   rr::SchedulingEnv env(graph, platform, costs, {0.0, cfg.window, 1});
   const auto report = trainer.train(env, {.episodes = 10});
@@ -41,7 +41,7 @@ TEST(Ppo, TrainingChangesParameters) {
   const auto platform = rs::Platform::hybrid(1, 1);
   const auto costs = rs::CostModel::cholesky();
   auto cfg = tiny_config();
-  rr::PolicyNet net(rr::StateEncoder::node_feature_width(4), 8, cfg);
+  rr::PolicyNet net(rr::node_feature_width(4), 8, cfg);
   std::vector<readys::tensor::Tensor> before;
   for (const auto& p : net.parameters()) before.push_back(p.value());
   rr::PpoTrainer trainer(net, cfg);
@@ -60,7 +60,7 @@ TEST(Ppo, EvaluateGreedyIsDeterministic) {
   const auto platform = rs::Platform::hybrid(1, 1);
   const auto costs = rs::CostModel::cholesky();
   auto cfg = tiny_config();
-  rr::PolicyNet net(rr::StateEncoder::node_feature_width(4), 8, cfg);
+  rr::PolicyNet net(rr::node_feature_width(4), 8, cfg);
   rr::PpoTrainer trainer(net, cfg);
   rr::SchedulingEnv env(graph, platform, costs, {0.0, cfg.window, 1});
   const auto a = trainer.evaluate(env, 3, 7, true);
@@ -76,7 +76,7 @@ TEST(Ppo, LearnsTinyInstance) {
   const auto costs = rs::CostModel::cholesky();
   auto cfg = tiny_config();
   cfg.entropy_beta = 1e-3;
-  rr::PolicyNet net(rr::StateEncoder::node_feature_width(4), 8, cfg);
+  rr::PolicyNet net(rr::node_feature_width(4), 8, cfg);
   rr::PpoTrainer trainer(net, cfg, {.rollout_episodes = 8, .epochs = 4});
   rr::SchedulingEnv env(graph, platform, costs, {0.0, cfg.window, 1});
   trainer.train(env, {.episodes = 250});

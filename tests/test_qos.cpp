@@ -27,8 +27,8 @@ rr::AgentConfig small_agent() {
 }
 
 rr::PolicyNet small_net(const rr::AgentConfig& cfg) {
-  return rr::PolicyNet(rr::StateEncoder::node_feature_width(4),
-                       rr::StateEncoder::kResourceFeatureWidth, cfg);
+  return rr::PolicyNet(rr::node_feature_width(4),
+                       rr::kResourceFeatureWidth, cfg);
 }
 
 rv::SessionSpec spec_for(rc::App app, int tiles, std::uint64_t seed,
@@ -84,8 +84,7 @@ TEST(QosQueue, DeadlineClassDequeuesBeforeNormalBeforeBatch) {
       rc::make_graph(rc::App::kCholesky, 3));
   auto make = [&](std::uint64_t id, rv::QosClass cls) {
     auto spec = spec_for(rc::App::kCholesky, 3, id, "t", cls);
-    return std::make_unique<rv::Session>(id, spec, platform, graph, 1, 0,
-                                         true);
+    return std::make_unique<rv::Session>(id, spec, platform, graph, 1);
   };
   q.push_back({make(1, rv::QosClass::kBatch), {}});
   q.push_back({make(2, rv::QosClass::kNormal), {}});
@@ -108,9 +107,8 @@ TEST(QosQueue, DeficitRoundRobinInterleavesTenantsFairly) {
       rc::make_graph(rc::App::kCholesky, 3));
   auto push = [&](std::uint64_t id, const std::string& tenant) {
     auto spec = spec_for(rc::App::kCholesky, 3, id, tenant);
-    q.push_back({std::make_unique<rv::Session>(id, spec, platform, graph, 1,
-                                               0, true),
-                 {}});
+    q.push_back(
+        {std::make_unique<rv::Session>(id, spec, platform, graph, 1), {}});
   };
   q.set_weight("a", 1.0);
   q.set_weight("b", 1.0);
@@ -138,9 +136,8 @@ TEST(QosQueue, EvictForShedsTheMostBackloggedTenant) {
       rc::make_graph(rc::App::kCholesky, 3));
   auto push = [&](std::uint64_t id, const std::string& tenant) {
     auto spec = spec_for(rc::App::kCholesky, 3, id, tenant);
-    q.push_back({std::make_unique<rv::Session>(id, spec, platform, graph, 1,
-                                               0, true),
-                 {}});
+    q.push_back(
+        {std::make_unique<rv::Session>(id, spec, platform, graph, 1), {}});
   };
   for (std::uint64_t id = 1; id <= 5; ++id) push(id, "hog");
   push(10, "small");

@@ -18,6 +18,7 @@
 
 #include "cluster/register.hpp"
 #include "core/apps.hpp"
+#include "oracle/state_encoder.hpp"
 #include "rl/inference.hpp"
 #include "rl/policy_net.hpp"
 #include "rl/readys_scheduler.hpp"
@@ -40,8 +41,8 @@ rr::PolicyNet make_net(std::uint64_t seed) {
   cfg.hidden = 16;
   cfg.seed = seed;
   cfg.window = kWindow;
-  return rr::PolicyNet(rr::StateEncoder::node_feature_width(4),
-                       rr::StateEncoder::kResourceFeatureWidth, cfg);
+  return rr::PolicyNet(rr::node_feature_width(4),
+                       rr::kResourceFeatureWidth, cfg);
 }
 
 /// Fills the parameter named `name` (every parameter when empty).
@@ -58,21 +59,27 @@ void fill_parameters(rr::PolicyNet& net, double value,
 /// ReadysScheduler's offer protocol with one encode and one forward per
 /// offer: random or first idle resource, ∅ parks it until the next
 /// instant, greedy argmax or a categorical sample from the same RNG.
+/// Encodes with the production IncrementalEncoder or, with
+/// `full_encoder`, with the from-scratch reference encoder.
 class ForwardEveryOffer final : public rs::Scheduler {
  public:
-  ForwardEveryOffer(const rr::PolicyNet& net, rr::ReadysOptions opts)
-      : net_(&net), opts_(opts), rng_(opts.seed) {}
+  ForwardEveryOffer(const rr::PolicyNet& net, rr::ReadysOptions opts,
+                    bool full_encoder)
+      : net_(&net),
+        opts_(opts),
+        full_encoder_(full_encoder),
+        rng_(opts.seed) {}
 
   void reset(const rs::EngineView& view) override {
-    if (opts_.incremental) {
+    if (!full_encoder_) {
       inc_ = std::make_unique<rr::IncrementalEncoder>(view.graph(),
                                                       view.costs(), kWindow);
       if (opts_.backend == rr::InferenceBackendKind::kF32Simd) {
         inc_->set_sparse_ahat(true);
       }
     } else {
-      full_ = std::make_unique<rr::StateEncoder>(view.graph(), view.costs(),
-                                                 kWindow);
+      full_ = std::make_unique<readys::oracle::StateEncoder>(
+          view.graph(), view.costs(), kWindow);
     }
     backend_ = net_->make_inference(opts_.backend);
     rng_ = readys::util::Rng(opts_.seed);
@@ -135,10 +142,11 @@ class ForwardEveryOffer final : public rs::Scheduler {
  private:
   const rr::PolicyNet* net_;
   rr::ReadysOptions opts_;
+  bool full_encoder_;
   readys::util::Rng rng_;
   std::unique_ptr<rr::InferenceBackend> backend_;
   std::unique_ptr<rr::IncrementalEncoder> inc_;
-  std::unique_ptr<rr::StateEncoder> full_;
+  std::unique_ptr<readys::oracle::StateEncoder> full_;
   rr::Observation full_obs_;
   rr::InferenceOutput out_;
   std::unordered_set<int> declined_;
@@ -193,11 +201,12 @@ std::vector<Bound> run(rs::Scheduler& sched, const Workload& w,
   return rec.log;
 }
 
-std::string label(const rr::ReadysOptions& o, const Workload& w) {
+std::string label(const rr::ReadysOptions& o, bool full_encoder,
+                  const Workload& w) {
   return std::string(o.greedy ? "greedy" : "sampled") +
          (o.random_offer ? " random_offer " : " first_offer ") +
          rr::inference_backend_name(o.backend) +
-         (o.incremental ? " incremental " : " full ") + rc::app_name(w.app) +
+         (full_encoder ? " full " : " incremental ") + rc::app_name(w.app) +
          " sigma=" + std::to_string(w.sigma);
 }
 
@@ -237,8 +246,8 @@ class CountingReadys final : public rs::Scheduler {
 
 }  // namespace
 
-// The oracle grid: selection mode x offer order x backend x encoder, over
-// the three factorizations with and without duration noise.
+// The oracle grid: selection mode x offer order x backend x the oracle's
+// encoder, over the three factorizations with and without duration noise.
 TEST(ReadysOfferReuse, SchedulesMatchForwardingEveryOffer) {
   const auto net = make_net(5);
   const auto platform = rs::Platform::hybrid(2, 2);
@@ -250,17 +259,16 @@ TEST(ReadysOfferReuse, SchedulesMatchForwardingEveryOffer) {
     for (const bool random_offer : {false, true}) {
       for (const auto backend : {rr::InferenceBackendKind::kF64Ref,
                                  rr::InferenceBackendKind::kF32Simd}) {
-        for (const bool incremental : {true, false}) {
+        for (const bool full_encoder : {false, true}) {
           rr::ReadysOptions o;
           o.greedy = greedy;
           o.seed = 9;
           o.random_offer = random_offer;
           o.backend = backend;
-          o.incremental = incremental;
           rr::ReadysScheduler readys(net, kWindow, o);
           for (const Workload& w : workloads) {
-            SCOPED_TRACE(label(o, w));
-            ForwardEveryOffer oracle(net, o);
+            SCOPED_TRACE(label(o, full_encoder, w));
+            ForwardEveryOffer oracle(net, o, full_encoder);
             const std::vector<Bound> want = run(oracle, w, platform);
             const std::uint64_t reuses0 = readys.offer_reuses();
             const std::vector<Bound> got = run(readys, w, platform);
@@ -286,8 +294,8 @@ TEST(ReadysOfferReuse, SchedulesMatchUnderFaults) {
     o.greedy = greedy;
     o.seed = 4;
     o.backend = rr::InferenceBackendKind::kF32Simd;
-    SCOPED_TRACE(label(o, w));
-    ForwardEveryOffer oracle(net, o);
+    SCOPED_TRACE(label(o, /*full_encoder=*/false, w));
+    ForwardEveryOffer oracle(net, o, /*full_encoder=*/false);
     rr::ReadysScheduler readys(net, kWindow, o);
     EXPECT_EQ(run(readys, w, platform, faults),
               run(oracle, w, platform, faults));
@@ -307,7 +315,8 @@ TEST(ReadysOfferReuse, SchedulesMatchUnderShardScopedViews) {
         rr::ReadysOptions o;
         o.greedy = cfg.greedy;
         o.seed = cfg.seed;
-        return std::make_unique<ForwardEveryOffer>(net, o);
+        return std::make_unique<ForwardEveryOffer>(net, o,
+                                                   /*full_encoder=*/false);
       });
   const auto platform = rs::Platform::hybrid(4, 4);
   const Workload w{rc::App::kLu, 6, 0.3};

@@ -35,8 +35,8 @@ rr::AgentConfig small_agent(std::uint64_t seed = 3) {
 }
 
 rr::PolicyNet small_net(const rr::AgentConfig& cfg) {
-  return rr::PolicyNet(rr::StateEncoder::node_feature_width(4),
-                       rr::StateEncoder::kResourceFeatureWidth, cfg);
+  return rr::PolicyNet(rr::node_feature_width(4),
+                       rr::kResourceFeatureWidth, cfg);
 }
 
 rv::PolicyStoreConfig fast_probe() {

@@ -30,8 +30,8 @@ rr::AgentConfig small_agent() {
 }
 
 rr::PolicyNet small_net(const rr::AgentConfig& cfg) {
-  return rr::PolicyNet(rr::StateEncoder::node_feature_width(4),
-                       rr::StateEncoder::kResourceFeatureWidth, cfg);
+  return rr::PolicyNet(rr::node_feature_width(4),
+                       rr::kResourceFeatureWidth, cfg);
 }
 
 rv::ServiceConfig pump_config() {
@@ -419,8 +419,8 @@ TEST(Serve, SessionsSkipTheDenseAhatOnlyWhenAsked) {
   const auto graph = std::make_shared<const readys::dag::TaskGraph>(
       rc::make_graph(spec.app, spec.tiles));
   const auto platform = rs::Platform::hybrid(2, 2);
-  rv::Session dense(1, spec, platform, graph, 2, 0, true, false);
-  rv::Session sparse(2, spec, platform, graph, 2, 0, true, true);
+  rv::Session dense(1, spec, platform, graph, 2, 0, false);
+  rv::Session sparse(2, spec, platform, graph, 2, 0, true);
   const rr::Observation& a = dense.observation();
   const rr::Observation& b = sparse.observation();
   EXPECT_EQ(a.ahat.rows(), a.window.size());

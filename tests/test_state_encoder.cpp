@@ -1,9 +1,17 @@
+// The production state encoder, rl::IncrementalEncoder: feature layout
+// and resource summary at hand-built engine states, then field-for-field
+// equivalence with the from-scratch reference encoder (tests/oracle)
+// across every event type the simulator produces and along SchedulingEnv
+// episodes, the training path.
+
 #include <gtest/gtest.h>
 
 #include "dag/cholesky.hpp"
+#include "oracle/state_encoder.hpp"
 #include "rl/state_encoder.hpp"
 
 namespace rd = readys::dag;
+namespace ro = readys::oracle;
 namespace rs = readys::sim;
 namespace rr = readys::rl;
 
@@ -15,18 +23,26 @@ struct Fixture {
   rs::CostModel costs = rs::CostModel::cholesky();
 };
 
+/// One encode with the weak any_running() ∅ rule, copied out of the
+/// encoder so the next encode cannot change it.
+rr::Observation encode_once(rr::IncrementalEncoder& enc,
+                            const rs::EngineView& engine,
+                            rs::ResourceId current) {
+  return enc.encode(engine, current, engine.any_running());
+}
+
 }  // namespace
 
 TEST(StateEncoder, WidthsAreConsistent) {
-  EXPECT_EQ(rr::StateEncoder::node_feature_width(4), 17);
-  EXPECT_EQ(rr::StateEncoder::kResourceFeatureWidth, 8);
+  EXPECT_EQ(rr::node_feature_width(4), 17);
+  EXPECT_EQ(rr::kResourceFeatureWidth, 8);
 }
 
 TEST(StateEncoder, InitialObservationHasSourceReady) {
   Fixture f;
   rs::SimEngine engine(f.graph, f.platform, f.costs, 0.0, 1);
-  rr::StateEncoder enc(f.graph, f.costs, 1);
-  const auto obs = enc.encode(engine, 0);
+  rr::IncrementalEncoder enc(f.graph, f.costs, 1);
+  const auto obs = encode_once(enc, engine, 0);
   ASSERT_EQ(obs.ready_tasks.size(), 1u);
   EXPECT_EQ(obs.ready_tasks.front(), f.graph.sources().front());
   EXPECT_FALSE(obs.allow_idle);  // nothing running yet
@@ -42,8 +58,8 @@ TEST(StateEncoder, WindowGrowsWithW) {
   rs::SimEngine engine(f.graph, f.platform, f.costs, 0.0, 1);
   std::size_t prev = 0;
   for (int w = 0; w <= 3; ++w) {
-    rr::StateEncoder enc(f.graph, f.costs, w);
-    const auto obs = enc.encode(engine, 0);
+    rr::IncrementalEncoder enc(f.graph, f.costs, w);
+    const auto obs = encode_once(enc, engine, 0);
     EXPECT_GE(obs.window.size(), prev);
     prev = obs.window.size();
   }
@@ -55,12 +71,12 @@ TEST(StateEncoder, RunningTaskFlagsSet) {
   rs::SimEngine engine(f.graph, f.platform, f.costs, 0.0, 1);
   const auto src = f.graph.sources().front();
   engine.start(src, 3);  // a GPU
-  rr::StateEncoder enc(f.graph, f.costs, 2);
-  const auto obs = enc.encode(engine, 0);
+  rr::IncrementalEncoder enc(f.graph, f.costs, 2);
+  const auto obs = encode_once(enc, engine, 0);
   EXPECT_TRUE(obs.allow_idle);
   const auto pos = obs.window.position_of(src);
   ASSERT_NE(pos, rd::Window::npos);
-  const int base = enc.static_features().static_width();
+  const int base = rd::StaticFeatures(f.graph).static_width();
   EXPECT_DOUBLE_EQ(obs.features.at(pos, base + 0), 0.0);  // not ready
   EXPECT_DOUBLE_EQ(obs.features.at(pos, base + 1), 1.0);  // running
   EXPECT_GT(obs.features.at(pos, base + 2), 0.0);         // remaining
@@ -70,9 +86,9 @@ TEST(StateEncoder, RunningTaskFlagsSet) {
 TEST(StateEncoder, ResourceSummaryFields) {
   Fixture f;
   rs::SimEngine engine(f.graph, f.platform, f.costs, 0.0, 1);
-  rr::StateEncoder enc(f.graph, f.costs, 1);
+  rr::IncrementalEncoder enc(f.graph, f.costs, 1);
   {
-    const auto obs = enc.encode(engine, 0);  // CPU current
+    const auto obs = encode_once(enc, engine, 0);  // CPU current
     EXPECT_DOUBLE_EQ(obs.resource_state[0], 0.0);
     EXPECT_DOUBLE_EQ(obs.resource_state[1], 1.0);  // all CPUs idle
     EXPECT_DOUBLE_EQ(obs.resource_state[2], 1.0);  // all GPUs idle
@@ -80,12 +96,12 @@ TEST(StateEncoder, ResourceSummaryFields) {
     EXPECT_DOUBLE_EQ(obs.resource_state[6], 0.5);  // GPU share
   }
   {
-    const auto obs = enc.encode(engine, 2);  // GPU current
+    const auto obs = encode_once(enc, engine, 2);  // GPU current
     EXPECT_DOUBLE_EQ(obs.resource_state[0], 1.0);
   }
   engine.start(f.graph.sources().front(), 0);
   {
-    const auto obs = enc.encode(engine, 1);
+    const auto obs = encode_once(enc, engine, 1);
     EXPECT_DOUBLE_EQ(obs.resource_state[1], 0.5);  // one CPU busy
     // CPU 1 is still idle, so the earliest CPU availability stays 0.
     EXPECT_DOUBLE_EQ(obs.resource_state[3], 0.0);
@@ -95,8 +111,8 @@ TEST(StateEncoder, ResourceSummaryFields) {
     // With every CPU busy the earliest CPU availability must be positive.
     rs::SimEngine busy(f.graph, rs::Platform::cpus(1), f.costs, 0.0, 1);
     busy.start(f.graph.sources().front(), 0);
-    rr::StateEncoder enc1(f.graph, f.costs, 1);
-    const auto obs = enc1.encode(busy, 0, true);
+    rr::IncrementalEncoder enc1(f.graph, f.costs, 1);
+    const auto& obs = enc1.encode(busy, 0, true);
     EXPECT_GT(obs.resource_state[3], 0.0);
   }
 }
@@ -108,8 +124,8 @@ TEST(StateEncoder, ReadyPositionsAlignWithTasks) {
   engine.start(f.graph.sources().front(), 0);
   engine.advance();
   ASSERT_EQ(engine.ready().size(), 3u);
-  rr::StateEncoder enc(f.graph, f.costs, 1);
-  const auto obs = enc.encode(engine, 0);
+  rr::IncrementalEncoder enc(f.graph, f.costs, 1);
+  const auto obs = encode_once(enc, engine, 0);
   ASSERT_EQ(obs.ready_tasks.size(), 3u);
   ASSERT_EQ(obs.ready_positions.size(), 3u);
   for (std::size_t i = 0; i < obs.ready_tasks.size(); ++i) {
@@ -121,22 +137,23 @@ TEST(StateEncoder, CpuOnlyPlatformHasGpuDefaults) {
   Fixture f;
   const auto p = rs::Platform::cpus(4);
   rs::SimEngine engine(f.graph, p, f.costs, 0.0, 1);
-  rr::StateEncoder enc(f.graph, f.costs, 1);
-  const auto obs = enc.encode(engine, 0);
+  rr::IncrementalEncoder enc(f.graph, f.costs, 1);
+  const auto obs = encode_once(enc, engine, 0);
   EXPECT_DOUBLE_EQ(obs.resource_state[2], 0.0);  // no GPUs to be idle
   EXPECT_DOUBLE_EQ(obs.resource_state[6], 0.0);  // zero GPU share
   EXPECT_DOUBLE_EQ(obs.resource_state[4], 1.0);  // sentinel availability
 }
 
-// --- IncrementalEncoder equivalence ---------------------------------------
+// --- equivalence with the reference encoder ------------------------------
 //
-// The fast-path contract: IncrementalEncoder::encode is bit-identical to
-// StateEncoder::encode on the same engine state, across every event type
+// IncrementalEncoder::encode is bit-identical to the oracle's
+// from-scratch encode on the same engine state, across every event type
 // the simulator produces — starts, completions, fault kill-and-re-ready,
 // and the cluster layer's scoped views (where a stolen task leaves the
 // shard's ready list while staying globally ready).
 
 #include "cluster/shard_sched.hpp"
+#include "rl/env.hpp"
 #include "sched/mct.hpp"
 #include "sim/fault_model.hpp"
 #include "sim/simulator.hpp"
@@ -144,8 +161,8 @@ TEST(StateEncoder, CpuOnlyPlatformHasGpuDefaults) {
 
 namespace {
 
-/// `b` is an incremental encoding of the state `a` was fully encoded
-/// from. With `dense_ahat` false, `b` comes from a sparse-Â encoder: its
+/// `b` is an incremental encoding of the state the oracle encoded into
+/// `a`. With `dense_ahat` false, `b` comes from a sparse-Â encoder: its
 /// dense Â must be empty and everything else, the CSR view included,
 /// equal.
 void expect_observations_equal(const rr::Observation& a,
@@ -194,7 +211,7 @@ bool shrinks_then_grows(const std::vector<std::size_t>& sizes) {
   return false;
 }
 
-/// Scheduler wrapper comparing full vs incremental encodings (dense and
+/// Scheduler wrapper comparing oracle vs incremental encodings (dense and
 /// sparse Â) at every decision instant, for every idle resource, then
 /// delegating to MCT so the run makes progress. Used under both the
 /// plain Simulator and the cluster's shard coordinator (scoped views with
@@ -204,7 +221,7 @@ class ComparingScheduler final : public rs::Scheduler {
   explicit ComparingScheduler(int window) : window_(window) {}
 
   void reset(const rs::EngineView& view) override {
-    full_ = std::make_unique<rr::StateEncoder>(view.graph(), view.costs(),
+    full_ = std::make_unique<ro::StateEncoder>(view.graph(), view.costs(),
                                                window_);
     inc_ = std::make_unique<rr::IncrementalEncoder>(view.graph(), view.costs(),
                                                     window_);
@@ -217,10 +234,11 @@ class ComparingScheduler final : public rs::Scheduler {
   std::vector<rs::Assignment> decide(const rs::EngineView& view) override {
     if (!view.ready().empty()) {
       for (const rs::ResourceId r : view.idle_resources()) {
-        const rr::Observation a = full_->encode(view, r);
-        const rr::Observation& b = inc_->encode(view, r);
+        const bool allow_idle = view.any_running();
+        const rr::Observation a = full_->encode(view, r, allow_idle);
+        const rr::Observation& b = inc_->encode(view, r, allow_idle);
         expect_observations_equal(a, b);
-        expect_observations_equal(a, sparse_->encode(view, r),
+        expect_observations_equal(a, sparse_->encode(view, r, allow_idle),
                                   /*dense_ahat=*/false);
         window_sizes_.push_back(b.window.size());
         ++comparisons_;
@@ -238,7 +256,7 @@ class ComparingScheduler final : public rs::Scheduler {
 
  private:
   int window_;
-  std::unique_ptr<rr::StateEncoder> full_;
+  std::unique_ptr<ro::StateEncoder> full_;
   std::unique_ptr<rr::IncrementalEncoder> inc_;
   std::unique_ptr<rr::IncrementalEncoder> sparse_;
   readys::sched::MctScheduler inner_;
@@ -334,10 +352,10 @@ TEST(IncrementalEncoder, ReusesTopologyAcrossIdleDeclines) {
   engine.advance();  // 3 TRSMs ready
   engine.start(engine.ready().front(), 1);
   rr::IncrementalEncoder inc(f.graph, f.costs, 2);
-  (void)inc.encode(engine, 0);
+  (void)inc.encode(engine, 0, true);
   const auto rebuilds = inc.window_rebuilds();
-  (void)inc.encode(engine, 2);  // same instant, different offer
-  (void)inc.encode(engine, 3);
+  (void)inc.encode(engine, 2, true);  // same instant, different offer
+  (void)inc.encode(engine, 3, true);
   EXPECT_EQ(inc.window_rebuilds(), rebuilds);
   EXPECT_EQ(inc.window_reuses(), 2u);
 }
@@ -345,18 +363,18 @@ TEST(IncrementalEncoder, ReusesTopologyAcrossIdleDeclines) {
 TEST(IncrementalEncoder, ReencodeAfterInvalidateRebuildsAndMatches) {
   Fixture f;
   rs::SimEngine engine(f.graph, f.platform, f.costs, 0.0, 1);
-  rr::StateEncoder full(f.graph, f.costs, 2);
+  ro::StateEncoder full(f.graph, f.costs, 2);
   for (const bool sparse : {false, true}) {
     rr::IncrementalEncoder inc(f.graph, f.costs, 2);
     inc.set_sparse_ahat(sparse);
     engine.reset(1);
-    (void)inc.encode(engine, 0);
+    (void)encode_once(inc, engine, 0);
     // Same state: the cached topology would be reused; invalidate()
     // forces a rebuild with identical output.
     inc.invalidate();
     auto rebuilds = inc.window_rebuilds();
-    expect_observations_equal(full.encode(engine, 0), inc.encode(engine, 0),
-                              !sparse);
+    expect_observations_equal(full.encode(engine, 0),
+                              encode_once(inc, engine, 0), !sparse);
     EXPECT_EQ(inc.window_rebuilds(), rebuilds + 1);
     // A different state after invalidate(): the rebuild must clear the
     // previous window's rows and running columns.
@@ -365,8 +383,8 @@ TEST(IncrementalEncoder, ReencodeAfterInvalidateRebuildsAndMatches) {
     engine.start(engine.ready().front(), 2);
     inc.invalidate();
     rebuilds = inc.window_rebuilds();
-    expect_observations_equal(full.encode(engine, 1), inc.encode(engine, 1),
-                              !sparse);
+    expect_observations_equal(full.encode(engine, 1),
+                              encode_once(inc, engine, 1), !sparse);
     EXPECT_EQ(inc.window_rebuilds(), rebuilds + 1);
   }
 }
@@ -374,11 +392,11 @@ TEST(IncrementalEncoder, ReencodeAfterInvalidateRebuildsAndMatches) {
 TEST(IncrementalEncoder, SparseAhatModeSkipsDenseAndKeepsCsr) {
   Fixture f;
   rs::SimEngine engine(f.graph, f.platform, f.costs, 0.0, 1);
-  rr::StateEncoder full(f.graph, f.costs, 2);
+  ro::StateEncoder full(f.graph, f.costs, 2);
   rr::IncrementalEncoder inc(f.graph, f.costs, 2);
   inc.set_sparse_ahat(true);
   const auto a = full.encode(engine, 0);
-  const auto& b = inc.encode(engine, 0);
+  const auto& b = inc.encode(engine, 0, engine.any_running());
   EXPECT_EQ(b.ahat.size(), 0u) << "dense Â must stay empty in sparse mode";
   ASSERT_EQ(a.ahat_csr.row_ptr, b.ahat_csr.row_ptr);
   ASSERT_EQ(a.ahat_csr.col, b.ahat_csr.col);
@@ -386,4 +404,65 @@ TEST(IncrementalEncoder, SparseAhatModeSkipsDenseAndKeepsCsr) {
   for (std::size_t i = 0; i < a.features.size(); ++i) {
     ASSERT_EQ(a.features[i], b.features[i]);
   }
+}
+
+TEST(IncrementalEncoder, MatchesOracleAtEverySchedulingEnvStep) {
+  // The training path: SchedulingEnv re-encodes after every step with
+  // the production encoder. A random policy that takes ∅ a third of the
+  // times it is legal, first and random offers, fault kills that re-ready
+  // tasks, σ ∈ {0, 0.3}, dense and sparse Â: every observation must
+  // equal the oracle's encoding of the env's engine.
+  const auto graph = rd::cholesky_graph(5);
+  const auto platform = rs::Platform::hybrid(2, 2);
+  const auto costs = rs::CostModel::cholesky();
+  rs::FaultModel outages;
+  outages.outage_rate = 0.05;
+  outages.mean_downtime = 10.0;
+  const ro::StateEncoder oracle(graph, costs, 2);
+  std::size_t declines = 0;
+  for (const bool random_offer : {false, true}) {
+    for (const double sigma : {0.0, 0.3}) {
+      for (const bool faulty : {false, true}) {
+        for (const bool sparse : {false, true}) {
+          SCOPED_TRACE(std::string(random_offer ? "random" : "first") +
+                       " offer, sigma=" + std::to_string(sigma) +
+                       (faulty ? ", faults" : "") + (sparse ? ", sparse" : ""));
+          rr::SchedulingEnv::Config cfg;
+          cfg.sigma = sigma;
+          cfg.window = 2;
+          cfg.seed = 3;
+          cfg.random_offer = random_offer;
+          cfg.faults = faulty ? outages : rs::FaultModel::none();
+          cfg.sparse_ahat = sparse;
+          rr::SchedulingEnv env(graph, platform, costs, cfg);
+          readys::util::Rng policy(17);
+          std::size_t steps = 0;
+          std::size_t lost = 0;
+          for (std::uint64_t ep = 0; ep < 3; ++ep) {
+            env.reset(cfg.seed + ep);
+            while (!env.done()) {
+              const rr::Observation& obs = env.observation();
+              expect_observations_equal(
+                  oracle.encode(env.engine(), obs.current_resource,
+                                obs.allow_idle),
+                  obs, !sparse);
+              ++steps;
+              std::size_t a = policy.uniform_index(obs.ready_tasks.size());
+              if (obs.allow_idle && policy.uniform() < 1.0 / 3.0) {
+                a = obs.idle_action();
+                ++declines;
+              }
+              env.step(a);
+            }
+            lost += env.engine().num_lost_executions();
+          }
+          EXPECT_GE(steps, 3 * graph.num_tasks());
+          if (faulty) {
+            EXPECT_GE(lost, 1u) << "no task was killed mid-flight";
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(declines, 0u);
 }

@@ -109,8 +109,7 @@ TEST(VecEnv, BatchedForwardMatchesPerGraph) {
 
   auto cfg = tiny_config();
   cfg.gcn_layers = 2;  // exercise the stacked block-diagonal trunk
-  rr::PolicyNet net(rr::StateEncoder::node_feature_width(4),
-                    rr::StateEncoder::kResourceFeatureWidth, cfg);
+  rr::PolicyNet net(rr::node_feature_width(4), rr::kResourceFeatureWidth, cfg);
 
   std::vector<const rr::Observation*> batch;
   for (const auto& o : obs) batch.push_back(&o);
@@ -135,10 +134,10 @@ TEST(VecEnv, BatchedForwardGradientsMatchPerGraph) {
 
   const auto cfg = tiny_config();
   // Same config seed => identical initial weights in both nets.
-  rr::PolicyNet net_batched(rr::StateEncoder::node_feature_width(4),
-                            rr::StateEncoder::kResourceFeatureWidth, cfg);
-  rr::PolicyNet net_loop(rr::StateEncoder::node_feature_width(4),
-                         rr::StateEncoder::kResourceFeatureWidth, cfg);
+  rr::PolicyNet net_batched(rr::node_feature_width(4),
+                            rr::kResourceFeatureWidth, cfg);
+  rr::PolicyNet net_loop(rr::node_feature_width(4),
+                         rr::kResourceFeatureWidth, cfg);
   expect_params_equal(net_batched, net_loop);
 
   // Identical scalar loss built from both paths:
@@ -259,14 +258,14 @@ TEST(VecEnv, NumEnvs1A2CMatchesSequentialBitExact) {
   opts.sigma = 0.1;
   opts.seed = 21;
 
-  rr::PolicyNet net_seq(rr::StateEncoder::node_feature_width(4),
-                        rr::StateEncoder::kResourceFeatureWidth, cfg);
+  rr::PolicyNet net_seq(rr::node_feature_width(4),
+                        rr::kResourceFeatureWidth, cfg);
   rr::A2CTrainer seq(net_seq, cfg);
   rr::SchedulingEnv env(graph, platform, costs, env_cfg);
   const auto report_seq = seq.train(env, opts);
 
-  rr::PolicyNet net_vec(rr::StateEncoder::node_feature_width(4),
-                        rr::StateEncoder::kResourceFeatureWidth, cfg);
+  rr::PolicyNet net_vec(rr::node_feature_width(4),
+                        rr::kResourceFeatureWidth, cfg);
   rr::A2CTrainer vec(net_vec, cfg);
   rr::VecEnv envs(graph, platform, costs, env_cfg, 1);
   const auto report_vec = vec.train(envs, opts);
@@ -286,14 +285,14 @@ TEST(VecEnv, NumEnvs1PpoMatchesSequentialBitExact) {
   opts.sigma = 0.1;
   opts.seed = 33;
 
-  rr::PolicyNet net_seq(rr::StateEncoder::node_feature_width(4),
-                        rr::StateEncoder::kResourceFeatureWidth, cfg);
+  rr::PolicyNet net_seq(rr::node_feature_width(4),
+                        rr::kResourceFeatureWidth, cfg);
   rr::PpoTrainer seq(net_seq, cfg);
   rr::SchedulingEnv env(graph, platform, costs, env_cfg);
   const auto report_seq = seq.train(env, opts);
 
-  rr::PolicyNet net_vec(rr::StateEncoder::node_feature_width(4),
-                        rr::StateEncoder::kResourceFeatureWidth, cfg);
+  rr::PolicyNet net_vec(rr::node_feature_width(4),
+                        rr::kResourceFeatureWidth, cfg);
   rr::PpoTrainer vec(net_vec, cfg);
   rr::VecEnv envs(graph, platform, costs, env_cfg, 1);
   const auto report_vec = vec.train(envs, opts);
@@ -308,8 +307,7 @@ TEST(VecEnv, A2CVecTrainingRejectsUnroll) {
   const auto costs = rs::CostModel::cholesky();
   auto cfg = tiny_config();
   cfg.unroll = 16;
-  rr::PolicyNet net(rr::StateEncoder::node_feature_width(4),
-                    rr::StateEncoder::kResourceFeatureWidth, cfg);
+  rr::PolicyNet net(rr::node_feature_width(4), rr::kResourceFeatureWidth, cfg);
   rr::A2CTrainer trainer(net, cfg);
   rr::VecEnv envs(graph, platform, costs, {0.0, cfg.window, 1}, 2);
   rr::TrainOptions opts;
@@ -334,8 +332,8 @@ TEST(VecEnv, FourEnvTrainingIsReplayDeterministic) {
 
   auto run = [&](readys::util::ThreadPool* pool) {
     auto net = std::make_unique<rr::PolicyNet>(
-        rr::StateEncoder::node_feature_width(4),
-        rr::StateEncoder::kResourceFeatureWidth, cfg);
+        rr::node_feature_width(4),
+        rr::kResourceFeatureWidth, cfg);
     rr::A2CTrainer trainer(*net, cfg);
     rr::VecEnv envs(graph, platform, costs, env_cfg, 4, pool);
     auto report = trainer.train(envs, opts);
@@ -372,8 +370,7 @@ rr::TrainReport train_a2c_vec(std::size_t width, int episodes,
   opts.sigma = 0.1;
   opts.seed = 21;
   opts.updates_per_round = updates_per_round;
-  rr::PolicyNet net(rr::StateEncoder::node_feature_width(4),
-                    rr::StateEncoder::kResourceFeatureWidth, cfg);
+  rr::PolicyNet net(rr::node_feature_width(4), rr::kResourceFeatureWidth, cfg);
   rr::A2CTrainer trainer(net, cfg);
   if (width == 1) {
     rr::SchedulingEnv env(graph, platform, costs, env_cfg);
@@ -459,8 +456,8 @@ AsyncRun train_a2c_async(std::size_t width, int episodes, bool strict,
   opts.async_batch = 1;
   AsyncRun run;
   run.net = std::make_unique<rr::PolicyNet>(
-      rr::StateEncoder::node_feature_width(4),
-      rr::StateEncoder::kResourceFeatureWidth, cfg);
+      rr::node_feature_width(4),
+      rr::kResourceFeatureWidth, cfg);
   rr::A2CTrainer trainer(*run.net, cfg);
   rr::VecEnv envs(graph, platform, costs, env_cfg, width);
   run.report = trainer.train(envs, opts);
@@ -532,8 +529,7 @@ TEST(SchedulerRegistry, ReadysSchedulerRegistersAndRuns) {
   const auto platform = rs::Platform::hybrid(1, 1);
   const auto costs = rs::CostModel::cholesky();
   const auto cfg = tiny_config();
-  rr::PolicyNet net(rr::StateEncoder::node_feature_width(4),
-                    rr::StateEncoder::kResourceFeatureWidth, cfg);
+  rr::PolicyNet net(rr::node_feature_width(4), rr::kResourceFeatureWidth, cfg);
 
   rr::register_readys_scheduler(net, cfg.window);
   EXPECT_TRUE(readys::sched::registry().contains("readys"));
